@@ -9,10 +9,10 @@ pruning and insertion to join deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .planner import GlobalPlan, PlanNode
-from .provenance import Polynomial
+from .provenance import Polynomial, ResultDelta, Row
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph
 
@@ -21,18 +21,6 @@ from .store import Edge, KnowledgeGraph
 class BindingRow:
     bindings: dict[str, int]
     provenance: Polynomial
-
-
-@dataclass
-class ResultDelta:
-    """Per-node change record from one update."""
-
-    # row -> polynomial added on top of any existing row
-    added: dict[tuple[int, ...], Polynomial] = field(default_factory=dict)
-    # row -> former polynomial, row dropped entirely
-    removed: dict[tuple[int, ...], Polynomial] = field(default_factory=dict)
-    # row -> surviving (pruned) polynomial
-    pruned: dict[tuple[int, ...], Polynomial] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -183,15 +171,12 @@ def materialize_node(node: PlanNode, g: KnowledgeGraph) -> dict[tuple[int, ...],
 
 
 def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
-    """Fill every node table (and the edge->row index) from the store."""
+    """Fill every empty node table (and the edge->row index) from the store."""
     for node in plan.topo_order():
         if node.table:
             continue  # already materialized by an earlier registration
-        node.table = materialize_node(node, g)
+        plan.rows.add(node.key, materialize_node(node, g))
         node.indexes.clear()
-        for row, poly in node.table.items():
-            for eid in poly.edges():
-                plan.edge_rows.setdefault(eid, set()).add((node.key, row))
     return plan
 
 
@@ -325,25 +310,23 @@ def compute_insert_deltas(
     return deltas
 
 
-def apply_insert_deltas(plan: GlobalPlan, deltas: dict) -> dict:
+def apply_insert_deltas(
+    plan: GlobalPlan, deltas: dict
+) -> list[tuple[PlanNode, list[Row]]]:
     """Merge computed insert deltas into the node tables and indexes;
-    returns {node key: ResultDelta}."""
-    report: dict = {}
+    returns (node, rows new to its table) for every node that gained rows."""
+    grown = []
     for key, d in deltas.items():
-        node = plan.nodes[key]
-        for row, poly in d.items():
-            if row in node.table:
-                node.table[row] = node.table[row] + poly
-            else:
-                node.table[row] = poly
+        fresh = plan.rows.add(key, d)
+        if fresh:
+            node = plan.nodes[key]
+            for row in fresh:
                 _index_add(node, row)
-            for eid in poly.edges():
-                plan.edge_rows.setdefault(eid, set()).add((key, row))
-        report[key] = ResultDelta(added=dict(d))
-    return report
+            grown.append((node, fresh))
+    return grown
 
 
-def delta_insert(plan: GlobalPlan, g: KnowledgeGraph, e: Edge) -> dict:
+def delta_insert(plan: GlobalPlan, g: KnowledgeGraph, e: Edge) -> list:
     """Compute and apply the insert deltas in one step."""
     return apply_insert_deltas(plan, compute_insert_deltas(plan, g, e))
 
@@ -353,36 +336,17 @@ def delta_insert(plan: GlobalPlan, g: KnowledgeGraph, e: Edge) -> dict:
 # --------------------------------------------------------------------------
 
 
-def delta_delete(plan: GlobalPlan, edge_id: int) -> dict:
-    """Prune the deleted edge's monomials from every indexed plan row.
+def delta_delete(plan: GlobalPlan, edge_id: int) -> dict[tuple, ResultDelta]:
+    """Prune the deleted edge's monomials from every indexed plan row;
+    returns {node key: ResultDelta}.
 
     Monomials are exact derivation edge-multisets, so pruning each node
     independently keeps all tables consistent; no re-join is needed.
     """
-    entries = plan.edge_rows.pop(edge_id, None)
-    if not entries:
-        return {}
-    report: dict = {}
-    for key, row in entries:
-        node = plan.nodes[key]
-        old = node.table.get(row)
-        if old is None:
-            continue
-        new = old.prune(edge_id)
-        delta = report.setdefault(key, ResultDelta())
-        if new:
-            node.table[row] = new
-            delta.pruned[row] = new
-        else:
-            del node.table[row]
-            _index_remove(node, row)
-            delta.removed[row] = old
-        for gone in old.edges() - new.edges():
-            if gone == edge_id:
-                continue
-            bucket = plan.edge_rows.get(gone)
-            if bucket is not None:
-                bucket.discard((key, row))
-                if not bucket:
-                    del plan.edge_rows[gone]
+    report = plan.rows.prune(edge_id)
+    for key, d in report.items():
+        if d.removed:
+            node = plan.nodes[key]
+            for row in d.removed:
+                _index_remove(node, row)
     return report

@@ -2,11 +2,15 @@
 
 Registration evaluates a query once, plans and materializes all its
 one-pattern-removed subqueries through the shared global plan, and
-annotates every potential match's connection points.  After that each
-edge insertion is answered from the annotations (plus a delta path for
-queries where one edge can satisfy several patterns) and each deletion
-by polynomial pruning driven by two inverted indexes — no query is ever
-re-executed from scratch.
+indexes every potential match's connection points.  After that each
+edge insertion is answered from the connection points (plus a delta path
+for queries where one edge can satisfy several patterns) and each
+deletion by pruning the polynomials of the answers and the plan tables,
+two provenance-indexed tables — no query is ever re-executed from scratch.
+
+A connection point holds no polynomial of its own: it is an index entry
+from a graph vertex to a subquery root's plan row, and reads that row's
+polynomial from the plan table.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from .evaluate import (
 )
 from .planner import (
     GlobalPlan,
+    PlanNode,
     RootRef,
     build_and_or_tree,
     compute_statistics,
     merge_into_global,
     select_best_plan,
 )
-from .provenance import Polynomial, mono_degree
+from .provenance import Polynomial, ProvTable, Row, mono_degree
 from .query import (
     Classification,
     PredicateMetadata,
@@ -51,14 +56,15 @@ OUT = "out"
 IN = "in"
 
 
-@dataclass(eq=False)
+@dataclass
 class Annotation:
-    """Connection-point record stored against a graph node.
+    """A connection point, read out of the index for inspection.
 
     A potential match waits at `node` for an edge with label `exp_rel`
     leaving (`out`) or arriving (`in`); `bindings` are the full variable
     bindings of the matched component, `result` the fragment of the
-    answer it contributes, and `prov` its provenance polynomial.
+    answer it contributes, and `prov` its provenance polynomial (the
+    subquery root's plan row).
     """
 
     node: int
@@ -70,7 +76,12 @@ class Annotation:
     result: tuple[int, ...]
     bindings: dict[str, int]
     prov: Polynomial
-    key: tuple = None
+
+    @property
+    def key(self) -> tuple:
+        """Sort key, unique per connection point."""
+        bindings = tuple(sorted(self.bindings.items()))
+        return (self.query_id, self.removed, self.component, self.direction, bindings)
 
 
 @dataclass
@@ -107,10 +118,15 @@ class RegisteredQuery:
     qid: int
     query: QueryGraph
     subqueries: list[Subquery]
-    # (removed ordinal, component index) -> global plan node key
-    roots: dict[tuple[int, int], tuple]
+    # (removed ordinal, component index) -> global plan root node
+    roots: dict[tuple[int, int], PlanNode]
     # (removed ordinal, component index) -> {component var -> slot}
     root_varmaps: dict[tuple[int, int], dict[str, int]]
+    # (removed ordinal, component index) -> the connection points each
+    # root row carries: (endpoint slot, or None for a constant endpoint,
+    # the constant, expected predicate, direction)
+    anchors: dict[tuple[int, int], list[tuple[int | None, str | None, str, str]]]
+    # projected row -> polynomial; this query's group of Engine.answers
     answers: dict[tuple[int, ...], Polynomial]
 
 
@@ -128,6 +144,24 @@ def _anchor_sides(sq: Subquery) -> list[tuple[int, str]]:
         return [(0, "object")]
     # endpoint anchored by a constant only (no variable link survives)
     return [(0, "subject")] if not isinstance(t.subject, Var) else [(0, "object")]
+
+
+def _anchors(
+    sq: Subquery, ci: int, varmap: dict[str, int]
+) -> list[tuple[int | None, str | None, str, str]]:
+    """The connection points each row of component ci's root carries."""
+    t = sq.removed_pattern
+    out = []
+    for comp, side in _anchor_sides(sq):
+        if comp != ci:
+            continue
+        term = t.subject if side == "subject" else t.object
+        direction = OUT if side == "subject" else IN
+        if isinstance(term, Var):
+            out.append((varmap[term.name], None, t.predicate, direction))
+        else:
+            out.append((None, term, t.predicate, direction))
+    return out
 
 
 def _keep_min_degree(poly: Polynomial, edge_id: int, k: int) -> Polynomial:
@@ -151,13 +185,17 @@ class Engine:
         self.queries: dict[int, RegisteredQuery] = {}
         self._next_qid = 1
         self._registered_forms: set = set()
-        # (node, expected predicate, direction) -> annotations waiting there
         self._stats_cache: tuple[int, object] | None = None
-        self._ann_index: dict[tuple[int, str, str], set[Annotation]] = {}
-        self._ann_by_key: dict[tuple, Annotation] = {}
-        # inverted indexes: edge -> answers / connection points using it
-        self.edge_to_result: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
-        self.edge_to_cp: dict[int, set[Annotation]] = {}
+        # every query's answers, grouped by query id
+        self.answers = ProvTable()
+        # (vertex, expected predicate, direction) -> (root, row) pairs
+        # whose match waits there
+        self.connection_points: dict[tuple[int, str, str], set[tuple[RootRef, Row]]] = {}
+
+    @property
+    def edge_to_result(self) -> dict[int, set[tuple[int, Row]]]:
+        """Edge id -> (query id, answer row) pairs whose polynomial uses it."""
+        return self.answers.by_edge
 
     # ------------------------------------------------------------------
     # Registration
@@ -186,7 +224,8 @@ class Engine:
             key = tuple(row.bindings[v] for v in q.projection)
             answers[key] = row.provenance
 
-        rq = RegisteredQuery(qid, q, [], {}, {}, answers)
+        rq = RegisteredQuery(qid, q, [], {}, {}, {}, {})
+        refs: list[RootRef] = []
         if q.size >= 2:
             try:
                 rq.subqueries = generate_subqueries(q)
@@ -204,90 +243,83 @@ class Engine:
                         RootRef(qid, sq.removed, ci, ()),
                     )
                     ref = root.roots[-1]
-                    rq.roots[(sq.removed, ci)] = root.key
+                    refs.append(ref)
+                    rq.roots[(sq.removed, ci)] = root
                     rq.root_varmaps[(sq.removed, ci)] = ref.var_to_slot()
+                    rq.anchors[(sq.removed, ci)] = _anchors(sq, ci, ref.var_to_slot())
             materialize_plan(self.plan, self.graph)
 
+        self.answers.add(qid, answers)
+        rq.answers = self.answers.group(qid)
         self.queries[qid] = rq
         self._registered_forms.add(form)
 
-        before = len(self._ann_by_key)
-        for sq in rq.subqueries:
-            for ci, side in _anchor_sides(sq):
-                key = rq.roots[(sq.removed, ci)]
-                varmap = rq.root_varmaps[(sq.removed, ci)]
-                node = self.plan.nodes[key]
-                for row, poly in node.table.items():
-                    bindings = {v: row[s] for v, s in varmap.items()}
-                    self._upsert_annotation(rq, sq, ci, side, bindings, poly)
-
-        for row, poly in answers.items():
-            for eid in poly.edges():
-                self.edge_to_result.setdefault(eid, set()).add((qid, row))
+        annotation_count = 0
+        for ref in refs:
+            annotation_count += self._index_connection_points(
+                ref, rq.roots[(ref.removed, ref.component)].table
+            )
 
         return RegistrationReceipt(
             query_id=qid,
             answers=[
                 BindingRow(dict(zip(q.projection, row)), poly)
-                for row, poly in answers.items()
+                for row, poly in rq.answers.items()
             ],
             subquery_count=len(rq.subqueries),
-            annotation_count=len(self._ann_by_key) - before,
-            root_keys=sorted(set(rq.roots.values()), key=repr),
+            annotation_count=annotation_count,
+            root_keys=sorted({n.key for n in rq.roots.values()}, key=repr),
         )
 
     def _current_stats(self):
         """Statistics snapshot, reused while the graph is unchanged
         (plans are never re-optimized after updates anyway)."""
-        version = self.graph.next_edge_id + self.graph.num_edges
+        version = self.graph.mutations
         if self._stats_cache is None or self._stats_cache[0] != version:
             self._stats_cache = (version, compute_statistics(self.graph))
         return self._stats_cache[1]
 
-    def _endpoint_node(self, rq: RegisteredQuery, sq: Subquery, side: str, bindings) -> int:
-        t = sq.removed_pattern
-        term = t.subject if side == "subject" else t.object
-        if isinstance(term, Var):
-            return bindings[term.name]
-        return self.graph.node(term)
+    # ------------------------------------------------------------------
+    # Connection points
+    # ------------------------------------------------------------------
 
-    def _upsert_annotation(self, rq, sq, comp, side, bindings, poly):
-        if not poly:
-            return
-        direction = OUT if side == "subject" else IN
-        node = self._endpoint_node(rq, sq, side, bindings)
-        key = (
-            rq.qid,
-            sq.removed,
-            comp,
-            direction,
-            tuple(sorted(bindings.items())),
-        )
-        existing = self._ann_by_key.get(key)
-        if existing is not None:
-            old_edges = existing.prov.edges()
-            existing.prov = poly
-            for eid in poly.edges() - old_edges:
-                self.edge_to_cp.setdefault(eid, set()).add(existing)
-            return
-        ann = Annotation(
-            node=node,
-            exp_rel=sq.removed_pattern.predicate,
-            direction=direction,
-            query_id=rq.qid,
-            removed=sq.removed,
-            component=comp,
-            result=tuple(
-                bindings[v] for v in rq.query.projection if v in bindings
-            ),
-            bindings=bindings,
-            prov=poly,
-            key=key,
-        )
-        self._ann_by_key[key] = ann
-        self._ann_index.setdefault((node, ann.exp_rel, direction), set()).add(ann)
-        for eid in poly.edges():
-            self.edge_to_cp.setdefault(eid, set()).add(ann)
+    def _connection_points_of(self, ref: RootRef, rows):
+        """(index key, entry) of every connection point that these rows
+        of a subquery root carry."""
+        anchors = self.queries[ref.query_id].anchors[(ref.removed, ref.component)]
+        for slot, const, pred, direction in anchors:
+            for row in rows:
+                vertex = self.graph.node(const) if slot is None else row[slot]
+                yield (vertex, pred, direction), (ref, row)
+
+    def _index_connection_points(self, ref: RootRef, rows) -> int:
+        added = 0
+        for key, entry in self._connection_points_of(ref, rows):
+            self.connection_points.setdefault(key, set()).add(entry)
+            added += 1
+        return added
+
+    def _unindex_connection_points(self, ref: RootRef, rows):
+        cps = self.connection_points
+        for key, entry in self._connection_points_of(ref, rows):
+            bucket = cps.get(key)
+            if bucket is not None:
+                bucket.discard(entry)
+                if not bucket:
+                    del cps[key]
+
+    def _waiting(self, key: tuple[int, str, str]):
+        """(query, subquery, component, bindings, polynomial) of each
+        connection point at `key`, read from the current plan tables."""
+        out = []
+        for ref, row in self.connection_points.get(key, ()):
+            rq = self.queries[ref.query_id]
+            root = rq.roots[(ref.removed, ref.component)]
+            bindings = {v: row[s] for v, s in ref.varmap}
+            out.append(
+                (rq, rq.subqueries[ref.removed], ref.component, bindings, root.table[row])
+            )
+        return out
 
     # ------------------------------------------------------------------
     # Insertion
@@ -312,8 +344,9 @@ class Engine:
         self._trigger_answers(e, pred, deltas, contributions)
         self._apply_answer_additions(contributions, report)
         t3 = time.perf_counter()
-        apply_insert_deltas(self.plan, deltas)
-        self._refresh_annotations(deltas)
+        for node, fresh in apply_insert_deltas(self.plan, deltas):
+            for ref in node.roots:
+                self._index_connection_points(ref, fresh)
         t4 = time.perf_counter()
 
         report.response_time = (t1 - t0) + (t3 - t2)
@@ -344,27 +377,24 @@ class Engine:
     def _completions(self, e, pred, contributions):
         """Discharge connection points waiting for this edge (derivations
         that use the new edge exactly once)."""
-        out_anns = list(self._ann_index.get((e.subject, pred, OUT), ()))
-        in_anns = list(self._ann_index.get((e.object, pred, IN), ()))
+        out_cps = self._waiting((e.subject, pred, OUT))
+        in_cps = self._waiting((e.object, pred, IN))
         e_sym = Polynomial.edge(e.id)
 
-        pairs_in: dict[tuple[int, int], list[Annotation]] = {}
-        for ann in in_anns:
-            sq = self.queries[ann.query_id].subqueries[ann.removed]
-            if sq.sq_type is SubqueryType.III and ann.component == 1:
-                pairs_in.setdefault((ann.query_id, ann.removed), []).append(ann)
+        pairs_in: dict[tuple[int, int], list[tuple[dict, Polynomial]]] = {}
+        for rq, sq, comp, bindings, prov in in_cps:
+            if sq.sq_type is SubqueryType.III and comp == 1:
+                pairs_in.setdefault((rq.qid, sq.removed), []).append((bindings, prov))
 
-        for ann, from_out in [(a, True) for a in out_anns] + [
-            (a, False) for a in in_anns
-        ]:
-            rq = self.queries[ann.query_id]
-            sq = rq.subqueries[ann.removed]
+        for (rq, sq, comp, bindings, prov), from_out in [
+            (c, True) for c in out_cps
+        ] + [(c, False) for c in in_cps]:
             t = sq.removed_pattern
             if sq.sq_type is SubqueryType.III:
-                if from_out and ann.component == 0:
-                    for other in pairs_in.get((ann.query_id, ann.removed), ()):
-                        full = {**ann.bindings, **other.bindings}
-                        poly = ann.prov * other.prov * e_sym
+                if from_out and comp == 0:
+                    for other, other_prov in pairs_in.get((rq.qid, sq.removed), ()):
+                        full = {**bindings, **other}
+                        poly = prov * other_prov * e_sym
                         self._contribute(contributions, rq.qid, full, poly)
                 continue
             if sq.sq_type is SubqueryType.IV and not from_out:
@@ -374,7 +404,7 @@ class Engine:
             other_val = e.object if from_out else e.subject
             extra: dict[str, int] = {}
             if isinstance(other_term, Var):
-                bound = ann.bindings.get(other_term.name)
+                bound = bindings.get(other_term.name)
                 if bound is None:
                     extra[other_term.name] = other_val
                 elif bound != other_val:
@@ -389,12 +419,12 @@ class Engine:
                 for e2, b2 in self._match_single(sp, seed):
                     if e2.id == e.id:
                         continue  # double use handled by the delta path
-                    full = {**ann.bindings, **seed, **b2}
-                    poly = ann.prov * e_sym * Polynomial.edge(e2.id)
+                    full = {**bindings, **seed, **b2}
+                    poly = prov * e_sym * Polynomial.edge(e2.id)
                     self._contribute(contributions, rq.qid, full, poly)
             else:
-                full = {**ann.bindings, **extra}
-                self._contribute(contributions, rq.qid, full, ann.prov * e_sym)
+                full = {**bindings, **extra}
+                self._contribute(contributions, rq.qid, full, prov * e_sym)
 
     def _match_single(self, p: TriplePattern, bound: dict[str, int]):
         """Edges matching one pattern under partial bindings; yields
@@ -447,13 +477,9 @@ class Engine:
             t = sq.removed_pattern
             infos = []
             for ci in range(len(sq.components)):
-                key = rq.roots[(tr, ci)]
+                node = rq.roots[(tr, ci)]
                 infos.append(
-                    (
-                        self.plan.nodes[key],
-                        rq.root_varmaps[(tr, ci)],
-                        deltas.get(key, {}),
-                    )
+                    (node, rq.root_varmaps[(tr, ci)], deltas.get(node.key, {}))
                 )
             if len(infos) == 1:
                 self._trigger_one_comp(e, pid, rq, sq, t, infos[0], contributions)
@@ -527,37 +553,11 @@ class Engine:
 
     def _apply_answer_additions(self, contributions, report: UpdateReport):
         for qid, rows in contributions.items():
-            rq = self.queries[qid]
-            for row, poly in rows.items():
-                if not poly:
-                    continue
-                old = rq.answers.get(row)
-                rq.answers[row] = old + poly if old is not None else poly
-                for eid in poly.edges():
-                    self.edge_to_result.setdefault(eid, set()).add((qid, row))
-                report.added.setdefault(qid, []).append((row, rq.answers[row]))
-
-    def _refresh_annotations(self, deltas):
-        """New or extended subquery component rows become new or updated
-        connection points (applies to every query sharing the node)."""
-        for key, d in deltas.items():
-            node = self.plan.nodes[key]
-            for ref in node.roots:
-                rq = self.queries[ref.query_id]
-                sq = rq.subqueries[ref.removed]
-                sides = [
-                    side
-                    for ci, side in _anchor_sides(sq)
-                    if ci == ref.component
-                ]
-                if not sides:
-                    continue
-                vm = ref.var_to_slot()
-                for row in d:
-                    poly = node.table[row]
-                    bindings = {v: row[s] for v, s in vm.items()}
-                    for side in sides:
-                        self._upsert_annotation(rq, sq, ref.component, side, bindings, poly)
+            self.answers.add(qid, rows)
+            answers = self.queries[qid].answers
+            added = [(row, answers[row]) for row, poly in rows.items() if poly]
+            if added:
+                report.added[qid] = added
 
     # ------------------------------------------------------------------
     # Deletion
@@ -571,53 +571,21 @@ class Engine:
 
     def handle_deletion(self, e: Edge) -> UpdateReport:
         """Filter-and-refine: look up everything that used the edge,
-        prune its monomials, and drop whatever collapses to zero."""
+        prune its monomials, and drop whatever collapses to zero; a
+        dropped subquery root row takes its connection points with it."""
         report = UpdateReport(op="-", edge_id=e.id)
-        eid = e.id
 
         t0 = time.perf_counter()
-        for qid, row in self.edge_to_result.pop(eid, ()):
-            rq = self.queries[qid]
-            old = rq.answers.get(row)
-            if old is None:
-                continue
-            new = old.prune(eid)
-            if new:
-                rq.answers[row] = new
-                report.pruned.setdefault(qid, []).append((row, new))
-            else:
-                del rq.answers[row]
-                report.removed.setdefault(qid, []).append(row)
-            for gone in old.edges() - new.edges():
-                if gone == eid:
-                    continue
-                bucket = self.edge_to_result.get(gone)
-                if bucket is not None:
-                    bucket.discard((qid, row))
-                    if not bucket:
-                        del self.edge_to_result[gone]
+        for qid, d in self.answers.prune(e.id).items():
+            if d.pruned:
+                report.pruned[qid] = list(d.pruned.items())
+            if d.removed:
+                report.removed[qid] = list(d.removed)
         t1 = time.perf_counter()
-
-        for ann in self.edge_to_cp.pop(eid, ()):
-            old = ann.prov
-            new = old.prune(eid)
-            ann.prov = new
-            if not new:
-                del self._ann_by_key[ann.key]
-                bucket = self._ann_index.get((ann.node, ann.exp_rel, ann.direction))
-                if bucket is not None:
-                    bucket.discard(ann)
-                    if not bucket:
-                        del self._ann_index[(ann.node, ann.exp_rel, ann.direction)]
-            for gone in old.edges() - new.edges():
-                if gone == eid:
-                    continue
-                cps = self.edge_to_cp.get(gone)
-                if cps is not None:
-                    cps.discard(ann)
-                    if not cps:
-                        del self.edge_to_cp[gone]
-        delta_delete(self.plan, eid)
+        for key, d in delta_delete(self.plan, e.id).items():
+            if d.removed:
+                for ref in self.plan.nodes[key].roots:
+                    self._unindex_connection_points(ref, d.removed)
         t2 = time.perf_counter()
 
         report.response_time = t1 - t0
@@ -631,39 +599,16 @@ class Engine:
     def index_audit(self) -> list[str]:
         """Rebuild all inverted indexes from first principles and diff
         them against the live ones; an empty list means consistent."""
-        problems: list[str] = []
+        problems = [f"edge-to-result mismatch at e{eid}" for eid in self.answers.audit()]
+        problems += [f"plan edge-row mismatch at e{eid}" for eid in self.plan.rows.audit()]
 
-        want_res: dict[int, set] = {}
-        for qid, rq in self.queries.items():
-            for row, poly in rq.answers.items():
-                for eid in poly.edges():
-                    want_res.setdefault(eid, set()).add((qid, row))
-        have_res = {k: v for k, v in self.edge_to_result.items() if v}
-        for eid in set(want_res) | set(have_res):
-            if want_res.get(eid, set()) != have_res.get(eid, set()):
-                problems.append(f"edge-to-result mismatch at e{eid}")
-
-        want_cp: dict[int, set] = {}
-        for ann in self._ann_by_key.values():
-            for eid in ann.prov.edges():
-                want_cp.setdefault(eid, set()).add(id(ann))
-        have_cp = {
-            k: {id(a) for a in v} for k, v in self.edge_to_cp.items() if v
-        }
-        for eid in set(want_cp) | set(have_cp):
-            if want_cp.get(eid, set()) != have_cp.get(eid, set()):
-                problems.append(f"edge-to-connection-point mismatch at e{eid}")
-
-        want_plan: dict[int, set] = {}
-        for key, node in self.plan.nodes.items():
-            for row, poly in node.table.items():
-                for eid in poly.edges():
-                    want_plan.setdefault(eid, set()).add((key, row))
-        have_plan = {k: v for k, v in self.plan.edge_rows.items() if v}
-        for eid in set(want_plan) | set(have_plan):
-            if want_plan.get(eid, set()) != have_plan.get(eid, set()):
-                problems.append(f"plan edge-row mismatch at e{eid}")
-
+        want = set()
+        for node in self.plan.nodes.values():
+            for ref in node.roots:
+                want.update(self._connection_points_of(ref, node.table))
+        have = {(k, e) for k, entries in self.connection_points.items() for e in entries}
+        problems += sorted(f"connection point missing at {k}" for k, _ in want - have)
+        problems += sorted(f"stale connection point at {k}" for k, _ in have - want)
         return problems
 
     def answers_of(self, qid: int) -> list[BindingRow]:
@@ -673,16 +618,20 @@ class Engine:
             for row, poly in sorted(rq.answers.items())
         ]
 
-    def annotations_at(self, node: int) -> list[Annotation]:
-        return sorted(
-            (
-                a
-                for (n, _, _), anns in self._ann_index.items()
-                if n == node
-                for a in anns
-            ),
-            key=lambda a: a.key,
-        )
-
     def all_annotations(self) -> list[Annotation]:
-        return [self._ann_by_key[k] for k in sorted(self._ann_by_key)]
+        """Every connection point as a record, in key order."""
+        out = []
+        for (vertex, pred, direction), entries in self.connection_points.items():
+            for ref, row in entries:
+                rq = self.queries[ref.query_id]
+                bindings = {v: row[s] for v, s in ref.varmap}
+                result = tuple(bindings[v] for v in rq.query.projection if v in bindings)
+                poly = rq.roots[(ref.removed, ref.component)].table[row]
+                out.append(Annotation(
+                    vertex, pred, direction, ref.query_id, ref.removed,
+                    ref.component, result, bindings, poly,
+                ))
+        return sorted(out, key=lambda a: a.key)
+
+    def annotations_at(self, node: int) -> list[Annotation]:
+        return [a for a in self.all_annotations() if a.node == node]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .provenance import Polynomial
+from .provenance import Polynomial, ProvTable
 from .query import CanonicalKey, TriplePattern, Var, canonicalize
 from .store import KnowledgeGraph
 
@@ -194,12 +194,6 @@ class AndOrTree:
     def or_nodes(self) -> list[Subset]:
         return list(self.splits)
 
-    def by_ordinal(self, i: int) -> TriplePattern:
-        for p in self.patterns:
-            if p.ordinal == i:
-                return p
-        raise KeyError(i)
-
 
 def build_and_or_tree(patterns: Sequence[TriplePattern]) -> AndOrTree:
     """Enumerate every connected subset and every binary derivation.
@@ -361,10 +355,11 @@ def patterns_from_key(key: CanonicalKey) -> list[TriplePattern]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootRef:
     """Ties a global-plan root back to one registered subquery component;
-    varmap sends the component's variable names to canonical indices."""
+    varmap sends the component's variable names to canonical indices.
+    Compared and hashed by identity: each registration makes its own."""
 
     query_id: int
     removed: int
@@ -384,10 +379,10 @@ class PlanNode:
     estimate: float
     # (child key, map child-var-slot -> this node's var slot) per side
     children: tuple[tuple[CanonicalKey, dict[int, int]], tuple[CanonicalKey, dict[int, int]]] | None
+    # bindings over var slots 0..num_vars-1 -> provenance; this node's
+    # group of the plan's ProvTable
+    table: dict[tuple[int, ...], Polynomial]
     roots: list[RootRef] = field(default_factory=list)
-    parents: set[CanonicalKey] = field(default_factory=set)
-    # bindings over var slots 0..num_vars-1 -> provenance
-    table: dict[tuple[int, ...], Polynomial] = field(default_factory=dict)
     # lazily built hash indexes: slot subset -> key tuple -> rows
     indexes: dict[tuple[int, ...], dict[tuple[int, ...], set[tuple[int, ...]]]] = field(
         default_factory=dict
@@ -414,14 +409,13 @@ class GlobalPlan:
     def __init__(self):
         self.nodes: dict[CanonicalKey, PlanNode] = {}
         self.pred_index: dict[str, set[CanonicalKey]] = {}
-        # edge id -> (node key, row) pairs whose polynomial mentions it
-        self.edge_rows: dict[int, set[tuple[CanonicalKey, tuple[int, ...]]]] = {}
+        # every node table, grouped by node key
+        self.rows = ProvTable()
 
-    def node(self, key: CanonicalKey) -> PlanNode:
-        return self.nodes[key]
-
-    def nodes_with_predicate(self, pred: str) -> list[PlanNode]:
-        return [self.nodes[k] for k in self.pred_index.get(pred, ())]
+    @property
+    def edge_rows(self) -> dict[int, set[tuple[CanonicalKey, tuple[int, ...]]]]:
+        """Edge id -> (node key, row) pairs whose polynomial mentions it."""
+        return self.rows.by_edge
 
     def topo_order(self) -> list[PlanNode]:
         """Children strictly before parents."""
@@ -467,8 +461,6 @@ def merge_into_global(
             lmap = {slot: cf.varmap[name] for name, slot in lvm.items()}
             rmap = {slot: cf.varmap[name] for name, slot in rvm.items()}
             children = ((lkey, lmap), (rkey, rmap))
-            plan.nodes[lkey].parents.add(cf.key)
-            plan.nodes[rkey].parents.add(cf.key)
         node = PlanNode(
             key=cf.key,
             patterns=patterns_from_key(cf.key),
@@ -478,6 +470,7 @@ def merge_into_global(
             ),
             estimate=estimate_cardinality(pats, stats),
             children=children,
+            table=plan.rows.group(cf.key),
         )
         plan.nodes[cf.key] = node
         for pred in node.predicates:

@@ -9,10 +9,13 @@ multiplication models joint use of edges within one derivation.
 from __future__ import annotations
 
 import re
+from collections.abc import Hashable
+from dataclasses import dataclass, field
 from functools import reduce
 
 # A monomial is a tuple of (edge_id, exponent) pairs sorted by edge_id.
 Monomial = tuple[tuple[int, int], ...]
+Row = tuple[int, ...]
 
 MONO_ONE: Monomial = ()
 
@@ -197,3 +200,88 @@ def poly_add(*polys: Polynomial) -> Polynomial:
 
 def poly_mul(*polys: Polynomial) -> Polynomial:
     return reduce(lambda a, b: a * b, polys, _ONE)
+
+
+# --------------------------------------------------------------------------
+# Provenance-indexed tables
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class ResultDelta:
+    """One group's change from pruning a deleted edge."""
+
+    # row -> surviving (pruned) polynomial
+    pruned: dict[Row, Polynomial] = field(default_factory=dict)
+    # row -> former polynomial, row dropped entirely
+    removed: dict[Row, Polynomial] = field(default_factory=dict)
+
+
+class ProvTable:
+    """Rows annotated with polynomials, kept in named groups, plus an
+    inverted index from each edge id to the (group, row) pairs whose
+    polynomial mentions it.  Every row is nonzero."""
+
+    def __init__(self):
+        self.groups: dict[Hashable, dict[Row, Polynomial]] = {}
+        self.by_edge: dict[int, set[tuple[Hashable, Row]]] = {}
+
+    def group(self, name: Hashable) -> dict[Row, Polynomial]:
+        """The live row dict of a group, created empty on first use."""
+        return self.groups.setdefault(name, {})
+
+    def add(self, name: Hashable, delta: dict[Row, Polynomial]) -> list[Row]:
+        """Add each polynomial onto its row of the group, creating rows
+        as needed; returns the rows that did not exist before."""
+        rows = self.group(name)
+        fresh = []
+        for row, poly in delta.items():
+            if not poly:
+                continue
+            old = rows.get(row)
+            if old is None:
+                rows[row] = poly
+                fresh.append(row)
+            else:
+                rows[row] = old + poly
+            for eid in poly.edges():
+                self.by_edge.setdefault(eid, set()).add((name, row))
+        return fresh
+
+    def prune(self, edge_id: int) -> dict[Hashable, ResultDelta]:
+        """Drop the monomials that use the edge from every row indexed
+        under it, delete rows left at zero, and unindex what is gone."""
+        report: dict[Hashable, ResultDelta] = {}
+        for name, row in self.by_edge.pop(edge_id, ()):
+            rows = self.groups[name]
+            old = rows[row]
+            new = old.prune(edge_id)
+            delta = report.get(name)
+            if delta is None:
+                delta = report[name] = ResultDelta()
+            if new:
+                rows[row] = new
+                delta.pruned[row] = new
+            else:
+                del rows[row]
+                delta.removed[row] = old
+            for gone in old.edges() - new.edges():
+                if gone == edge_id:
+                    continue
+                bucket = self.by_edge.get(gone)
+                if bucket is not None:
+                    bucket.discard((name, row))
+                    if not bucket:
+                        del self.by_edge[gone]
+        return report
+
+    def audit(self) -> list[int]:
+        """Edge ids whose index entry differs from one rebuilt from the
+        rows (empty index buckets count as absent)."""
+        want: dict[int, set] = {}
+        for name, rows in self.groups.items():
+            for row, poly in rows.items():
+                for eid in poly.edges():
+                    want.setdefault(eid, set()).add((name, row))
+        have = {eid: v for eid, v in self.by_edge.items() if v}
+        return sorted(e for e in want.keys() | have.keys() if want.get(e) != have.get(e))

@@ -68,11 +68,6 @@ class TriplePattern:
     def variables(self) -> set[str]:
         return {t.name for t in self.terms() if isinstance(t, Var)}
 
-    def endpoint_variables(self) -> set[str]:
-        return {
-            t.name for t in (self.subject, self.object) if isinstance(t, Var)
-        }
-
 
 @dataclass
 class QueryGraph:

@@ -19,9 +19,6 @@ class Edge:
     predicate: int
     object: int
 
-    def triple(self) -> tuple[int, int, int]:
-        return (self.subject, self.predicate, self.object)
-
 
 class Interner:
     """Bidirectional name <-> dense integer id dictionary."""
@@ -62,6 +59,8 @@ class KnowledgeGraph:
         self.predicates = Interner()
         self.edges: dict[int, Edge] = {}
         self._next_id = 1
+        # bumped by every insert and every delete that removes an edge
+        self.mutations = 0
         # triple-pattern indexes, all mapping key -> set of edge ids
         self._by_sp: dict[tuple[int, int], set[int]] = {}
         self._by_po: dict[tuple[int, int], set[int]] = {}
@@ -90,6 +89,7 @@ class KnowledgeGraph:
     def insert_edge(self, subject: int, predicate: int, obj: int) -> int:
         eid = self._next_id
         self._next_id += 1
+        self.mutations += 1
         edge = Edge(eid, subject, predicate, obj)
         self.edges[eid] = edge
         self._by_sp.setdefault((subject, predicate), set()).add(eid)
@@ -110,6 +110,7 @@ class KnowledgeGraph:
         edge = self.edges.pop(eid, None)
         if edge is None:
             return None
+        self.mutations += 1
         s, p, o = edge.subject, edge.predicate, edge.object
         for index, key in (
             (self._by_sp, (s, p)),

@@ -45,9 +45,6 @@ class Subquery:
             out.append(t.name)
         return out
 
-    def component_vars(self, idx: int) -> set[str]:
-        return set().union(*(p.variables() for p in self.components[idx]))
-
 
 def generate_subqueries(q: QueryGraph) -> list[Subquery]:
     """One subquery per removed ordinal; requires n >= 2 and variable

@@ -3,12 +3,16 @@ and incremental answer maintenance under single-edge updates."""
 
 from __future__ import annotations
 
+import copy
+import random
+
 import pytest
 
 from kgprov.maintenance import IN, OUT, Engine
 from kgprov.provenance import Polynomial
 from kgprov.query import QueryError, UnsupportedFeatureError, parse_query
 from kgprov.store import KnowledgeGraph
+from kgprov.workload import random_graph, random_query
 
 from conftest import RUNNING_QUERY, brute_force_answers
 
@@ -229,6 +233,53 @@ def test_update_stream_tracks_oracle(registered, running_query):
         assert engine.index_audit() == []
 
 
+def _connection_points(engine):
+    return {(a.key, a.node, a.exp_rel, a.prov) for a in engine.all_annotations()}
+
+
+def test_connection_points_match_fresh_registration():
+    rng = random.Random(31)
+    compared = 0
+    for _trial in range(8):
+        g = random_graph(rng, 12, 3, 40)
+        engine = Engine(g)
+        queries = []
+        for _ in range(3):
+            q = random_query(g, rng, rng.randrange(2, 5))
+            try:
+                engine.register_query(q)
+            except QueryError:
+                continue
+            queries.append(q)
+        names = [f"n{i}" for i in range(12)]
+        preds = sorted(g.predicates.names())
+        for _step in range(25):
+            if rng.random() < 0.5 and g.edges:
+                engine.delete_edge(rng.choice(sorted(g.edges)))
+            else:
+                engine.insert_triple(
+                    rng.choice(names), rng.choice(preds), rng.choice(names)
+                )
+        fresh = Engine(copy.deepcopy(g))
+        for q in queries:
+            fresh.register_query(q)
+        want = _connection_points(fresh)
+        assert _connection_points(engine) == want
+        compared += len(want)
+    assert compared > 0
+
+
+def test_statistics_follow_every_update(engine):
+    g = engine.graph
+    engine._current_stats()
+    engine.insert_triple("Ooi", "coAuthor", "Gehrke")
+    coauthor = [e.id for e in g.lookup(p=g.predicates.get("coAuthor"))]
+    engine.delete_edge(coauthor[0])
+    engine.delete_edge(coauthor[1])
+    stats = engine._current_stats()
+    assert stats.pred_counts["coAuthor"] == len(coauthor) - 2
+
+
 # ---------------------------------------------------------------------------
 # Degenerate and multi-query setups
 # ---------------------------------------------------------------------------
@@ -277,6 +328,20 @@ def test_audit_flags_planted_corruption(registered):
     problems = engine.index_audit()
     assert problems
     assert any("999" in p for p in problems)
+
+
+def test_audit_flags_connection_point_corruption(registered):
+    engine, _ = registered
+    assert engine.index_audit() == []
+    # move one live connection point to a vertex where no match waits
+    key, entries = next(iter(engine.connection_points.items()))
+    entry = next(iter(entries))
+    entries.discard(entry)
+    vertex, pred, direction = key
+    engine.connection_points.setdefault((999, pred, direction), set()).add(entry)
+    problems = engine.index_audit()
+    assert f"connection point missing at {key}" in problems
+    assert f"stale connection point at {(999, pred, direction)}" in problems
 
 
 def test_audit_flags_missing_entry(registered):
