@@ -162,21 +162,38 @@ def _slot_of(var: Var) -> int:
 
 
 def materialize_node(node: PlanNode, g: KnowledgeGraph) -> dict[tuple[int, ...], Polynomial]:
-    """Evaluate a node's expression from the store, keyed by var slot."""
-    table = evaluate_patterns(node.patterns, g)
+    """Scan a leaf's single pattern from the store, keyed by var slot."""
+    table = scan_pattern(node.patterns[0], g)
     order = sorted(range(len(table.vars)), key=lambda i: int(table.vars[i][1:]))
     return {
         tuple(row[i] for i in order): poly for row, poly in table.rows.items()
     }
 
 
+def _join_children(plan: GlobalPlan, node: PlanNode) -> dict[tuple[int, ...], Polynomial]:
+    """A join node's table from its children's current tables.
+
+    Children hold full bindings, so summing the products over matching
+    row pairs yields every derivation of the node exactly once.  The
+    smaller child is hashed for this join only, so registration leaves
+    no index behind that the update path did not ask for."""
+    (bkey, bmap), (skey, smap) = node.children
+    big, small = plan.nodes[bkey], plan.nodes[skey]
+    if len(big.table) < len(small.table):
+        big, bmap, small, smap = small, smap, big, bmap
+    out: dict[tuple[int, ...], Polynomial] = {}
+    if small.table:  # an empty child leaves the node empty
+        _join_delta(big.table, bmap, small, smap, small.table, node.num_vars, out)
+    return out
+
+
 def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
-    """Fill every empty node table (and the edge->row index) from the store."""
-    for node in plan.topo_order():
-        if node.table:
-            continue  # already materialized by an earlier registration
-        plan.rows.add(node.key, materialize_node(node, g))
-        node.indexes.clear()
+    """Fill the table (and the edge->row index) of every node created
+    since the last call, children first; only leaves read the store."""
+    for node in plan.pending:
+        rows = materialize_node(node, g) if node.is_leaf else _join_children(plan, node)
+        plan.rows.add(node.key, rows)
+    plan.pending.clear()
     return plan
 
 
@@ -241,10 +258,10 @@ def _join_delta(
     num_vars: int,
     out: dict[tuple[int, ...], Polynomial],
 ):
-    """Join a small delta against one input side into `out`.
+    """Join delta rows against one input side into `out`.
 
-    `other_rows=None` joins against the side's full indexed table;
-    otherwise against the given (delta) rows.
+    `other_rows=None` probes the side's full table through its cached
+    index; otherwise the given rows are hashed for this call only.
     """
     shared = sorted(set(dmap.values()) & set(omap.values()))
     o_slots = tuple(
@@ -265,17 +282,14 @@ def _join_delta(
         out[key] = out[key] + poly if key in out else poly
 
     if other_rows is None:
-        idx = node_index(other, o_slots)
-        for drow, dpoly in delta.items():
-            probe = tuple(drow[s] for s in d_slots)
-            for orow in idx.get(probe, ()):
-                emit(drow, dpoly, orow, other.table[orow])
+        idx, other_rows = node_index(other, o_slots), other.table
     else:
-        for drow, dpoly in delta.items():
-            probe = tuple(drow[s] for s in d_slots)
-            for orow, opoly in other_rows.items():
-                if tuple(orow[s] for s in o_slots) == probe:
-                    emit(drow, dpoly, orow, opoly)
+        idx = {}
+        for orow in other_rows:
+            idx.setdefault(tuple(orow[s] for s in o_slots), []).append(orow)
+    for drow, dpoly in delta.items():
+        for orow in idx.get(tuple(drow[s] for s in d_slots), ()):
+            emit(drow, dpoly, orow, other_rows[orow])
 
 
 def compute_insert_deltas(

@@ -411,6 +411,8 @@ class GlobalPlan:
         self.pred_index: dict[str, set[CanonicalKey]] = {}
         # every node table, grouped by node key
         self.rows = ProvTable()
+        # nodes created since the last materialization, children first
+        self.pending: list[PlanNode] = []
 
     @property
     def edge_rows(self) -> dict[int, set[tuple[CanonicalKey, tuple[int, ...]]]]:
@@ -445,6 +447,7 @@ def merge_into_global(
 ) -> PlanNode:
     """Install a local plan, reusing any node whose canonical form is
     already present (its existing derivation wins; descent stops there).
+    Each new node is queued on `plan.pending` after its children.
     Returns the root node; `root_ref`, if given, is registered on it.
     """
 
@@ -473,6 +476,7 @@ def merge_into_global(
             table=plan.rows.group(cf.key),
         )
         plan.nodes[cf.key] = node
+        plan.pending.append(node)
         for pred in node.predicates:
             plan.pred_index.setdefault(pred, set()).add(cf.key)
         return cf.key, cf.varmap

@@ -3,14 +3,24 @@ and incremental answer maintenance under single-edge updates."""
 
 from __future__ import annotations
 
+import collections
 import copy
 import random
 
 import pytest
 
+from kgprov import maintenance
+from kgprov.evaluate import evaluate_patterns
 from kgprov.maintenance import IN, OUT, Engine
 from kgprov.provenance import Polynomial
-from kgprov.query import QueryError, UnsupportedFeatureError, parse_query
+from kgprov.query import (
+    QueryError,
+    QueryGraph,
+    TriplePattern,
+    UnsupportedFeatureError,
+    Var,
+    parse_query,
+)
 from kgprov.store import KnowledgeGraph
 from kgprov.workload import random_graph, random_query
 
@@ -278,6 +288,119 @@ def test_statistics_follow_every_update(engine):
     engine.delete_edge(coauthor[1])
     stats = engine._current_stats()
     assert stats.pred_counts["coAuthor"] == len(coauthor) - 2
+
+
+# ---------------------------------------------------------------------------
+# Plan materialization at registration
+# ---------------------------------------------------------------------------
+
+
+def fresh_node_table(node, g):
+    """A plan node's table evaluated from the store by full BGP
+    evaluation of its patterns, keyed by var slot."""
+    table = evaluate_patterns(node.patterns, g)
+    order = sorted(range(len(table.vars)), key=lambda i: int(table.vars[i][1:]))
+    return {tuple(row[i] for i in order): poly for row, poly in table.rows.items()}
+
+
+def test_each_plan_node_materialized_once(engine, monkeypatch):
+    g = engine.graph
+    filled = collections.Counter()  # node key -> tables written
+    store_reads = []  # store lookups per materialization
+    real_materialize = maintenance.materialize_plan
+
+    def counting_materialize(plan, graph):
+        reads = []
+        real_add, real_lookup = plan.rows.add, graph.lookup_ids
+        plan.rows.add = lambda key, rows: filled.update([key]) or real_add(key, rows)
+        graph.lookup_ids = lambda *a: reads.append(a) or real_lookup(*a)
+        try:
+            return real_materialize(plan, graph)
+        finally:
+            del plan.rows.add, graph.lookup_ids
+            store_reads.append(len(reads))
+
+    monkeypatch.setattr(maintenance, "materialize_plan", counting_materialize)
+
+    # all three share the empty join node ?a hadAdvisor ?b . ?c hasDegree ?b
+    shared = "?a hadAdvisor ?b . ?c hasDegree ?b ."
+    for extra in ("?b worksIn ?d .", "?e coAuthor ?a .", "?a worksIn ?d ."):
+        engine.register_query(parse_query(f"SELECT ?a WHERE {{ {shared} {extra} }}"))
+    [empty] = [
+        n for n in engine.plan.nodes.values()
+        if n.label() == "?v0 hadAdvisor ?v1 . ?v2 hasDegree ?v1"
+    ]
+    assert empty.table == {}
+    assert filled == collections.Counter(list(engine.plan.nodes))
+    leaves = sum(1 for n in engine.plan.nodes.values() if n.is_leaf)
+    assert sum(store_reads) == leaves  # one scan per leaf, none per join
+
+    # every plan node of this query already exists
+    nodes_before = set(engine.plan.nodes)
+    engine.register_query(parse_query("SELECT ?x WHERE { ?x hadAdvisor ?y . ?z hasDegree ?y . }"))
+    assert set(engine.plan.nodes) == nodes_before
+    assert store_reads[-1] == 0
+    assert filled == collections.Counter(list(engine.plan.nodes))
+    for node in engine.plan.nodes.values():
+        assert node.table == fresh_node_table(node, g)
+    assert engine.index_audit() == []
+
+
+def test_registration_after_updates_matches_fresh_evaluation():
+    """Queries registered after an update stream build new plan nodes
+    from children that were maintained incrementally."""
+    rng = random.Random(47)
+    reused_children = 0
+    for _trial in range(8):
+        g = random_graph(rng, 12, 3, 40)
+        engine = Engine(g)
+        names = [f"n{i}" for i in range(12)]
+        preds = sorted(g.predicates.names())
+
+        def stream(steps):
+            for _step in range(steps):
+                if rng.random() < 0.5 and g.edges:
+                    engine.delete_edge(rng.choice(sorted(g.edges)))
+                else:
+                    engine.insert_triple(
+                        rng.choice(names), rng.choice(preds), rng.choice(names)
+                    )
+
+        def register(q):
+            try:
+                engine.register_query(q)
+            except QueryError:
+                return False
+            return True
+
+        early = [q for q in (random_query(g, rng, rng.randrange(2, 5)) for _ in range(3)) if register(q)]
+        stream(25)
+        maintained = set(engine.plan.nodes)
+        for q in early:
+            # the earlier query plus one pattern hung off one of its variables
+            var = Var(rng.choice(sorted(q.variables())))
+            extra = TriplePattern(var, rng.choice(preds), Var("fresh"), ordinal=q.size)
+            register(QueryGraph(q.patterns + [extra], q.projection))
+        for q in (random_query(g, rng, rng.randrange(2, 5)) for _ in range(2)):
+            register(q)
+        reused_children += sum(
+            1
+            for key, node in engine.plan.nodes.items()
+            if key not in maintained and not node.is_leaf
+            for ck, _ in node.children
+            if ck in maintained
+        )
+
+        for check in range(2):
+            assert engine.plan.pending == []
+            for node in engine.plan.nodes.values():
+                assert node.table == fresh_node_table(node, g)
+            for qid, rq in engine.queries.items():
+                assert answer_dict(engine, qid) == brute_force_answers(rq.query, g)
+            assert engine.index_audit() == []
+            if check == 0:
+                stream(15)
+    assert reused_children > 0
 
 
 # ---------------------------------------------------------------------------
