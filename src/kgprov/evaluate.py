@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .planner import GlobalPlan, PlanNode
+from .planner import GlobalPlan, JoinProbe, PlanNode
 from .provenance import Polynomial, ResultDelta, Row
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph
@@ -177,13 +177,13 @@ def _join_children(plan: GlobalPlan, node: PlanNode) -> dict[tuple[int, ...], Po
     row pairs yields every derivation of the node exactly once.  The
     smaller child is hashed for this join only, so registration leaves
     no index behind that the update path did not ask for."""
-    (bkey, bmap), (skey, smap) = node.children
-    big, small = plan.nodes[bkey], plan.nodes[skey]
-    if len(big.table) < len(small.table):
-        big, bmap, small, smap = small, smap, big, bmap
+    left, right = (plan.nodes[key] for key, _ in node.children)
+    probe, big, small = node.probes[0], left, right
+    if len(left.table) < len(right.table):
+        probe, big, small = node.probes[1], right, left
     out: dict[tuple[int, ...], Polynomial] = {}
     if small.table:  # an empty child leaves the node empty
-        _join_delta(big.table, bmap, small, smap, small.table, node.num_vars, out)
+        _join_delta(big.table, probe, small, small.table, out)
     return out
 
 
@@ -251,11 +251,9 @@ def _leaf_delta(node: PlanNode, e: Edge, g: KnowledgeGraph) -> dict[tuple[int, .
 
 def _join_delta(
     delta: dict[tuple[int, ...], Polynomial],
-    dmap: dict[int, int],
+    probe: JoinProbe,
     other: PlanNode,
-    omap: dict[int, int],
     other_rows: dict[tuple[int, ...], Polynomial] | None,
-    num_vars: int,
     out: dict[tuple[int, ...], Polynomial],
 ):
     """Join delta rows against one input side into `out`.
@@ -263,33 +261,19 @@ def _join_delta(
     `other_rows=None` probes the side's full table through its cached
     index; otherwise the given rows are hashed for this call only.
     """
-    shared = sorted(set(dmap.values()) & set(omap.values()))
-    o_slots = tuple(
-        next(s for s, ps in omap.items() if ps == p) for p in shared
-    )
-    d_slots = tuple(
-        next(s for s, ps in dmap.items() if ps == p) for p in shared
-    )
-
-    def emit(drow, dpoly, orow, opoly):
-        parent = [None] * num_vars
-        for s, ps in dmap.items():
-            parent[ps] = drow[s]
-        for s, ps in omap.items():
-            parent[ps] = orow[s]
-        key = tuple(parent)
-        poly = dpoly * opoly
-        out[key] = out[key] + poly if key in out else poly
-
     if other_rows is None:
-        idx, other_rows = node_index(other, o_slots), other.table
+        idx, other_rows = node_index(other, probe.o_slots), other.table
     else:
         idx = {}
+        o_key = probe.o_key
         for orow in other_rows:
-            idx.setdefault(tuple(orow[s] for s in o_slots), []).append(orow)
+            idx.setdefault(o_key(orow), []).append(orow)
+    d_key, parent_row = probe.d_key, probe.parent_row
     for drow, dpoly in delta.items():
-        for orow in idx.get(tuple(drow[s] for s in d_slots), ()):
-            emit(drow, dpoly, orow, other_rows[orow])
+        for orow in idx.get(d_key(drow), ()):
+            key = parent_row(drow + orow)
+            poly = dpoly * other_rows[orow]
+            out[key] = out[key] + poly if key in out else poly
 
 
 def compute_insert_deltas(
@@ -308,17 +292,18 @@ def compute_insert_deltas(
         if node.is_leaf:
             d = _leaf_delta(node, e, g)
         else:
-            (lkey, lmap), (rkey, rmap) = node.children
+            (lkey, _), (rkey, _) = node.children
+            lprobe, rprobe = node.probes
             dl = deltas.get(lkey)
             dr = deltas.get(rkey)
             d: dict[tuple[int, ...], Polynomial] = {}
             left, right = plan.nodes[lkey], plan.nodes[rkey]
             if dl:
-                _join_delta(dl, lmap, right, rmap, None, node.num_vars, d)
+                _join_delta(dl, lprobe, right, None, d)
             if dr:
-                _join_delta(dr, rmap, left, lmap, None, node.num_vars, d)
+                _join_delta(dr, rprobe, left, None, d)
             if dl and dr:
-                _join_delta(dl, lmap, right, rmap, dr, node.num_vars, d)
+                _join_delta(dl, lprobe, right, dr, d)
         if d:
             deltas[node.key] = d
     return deltas

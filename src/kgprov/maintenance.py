@@ -332,6 +332,7 @@ class Engine:
     def handle_insertion(self, e: Edge) -> UpdateReport:
         """Process one edge already present in the store."""
         report = UpdateReport(op="+", edge_id=e.id)
+        self._stats_cache = None  # stale now; the next registration rebuilds it
         pred = self.graph.predicate_name(e.predicate)
         contributions: dict[int, dict[tuple[int, ...], Polynomial]] = {}
 
@@ -574,6 +575,7 @@ class Engine:
         prune its monomials, and drop whatever collapses to zero; a
         dropped subquery root row takes its connection points with it."""
         report = UpdateReport(op="-", edge_id=e.id)
+        self._stats_cache = None
 
         t0 = time.perf_counter()
         for qid, d in self.answers.prune(e.id).items():
@@ -597,9 +599,11 @@ class Engine:
     # ------------------------------------------------------------------
 
     def index_audit(self) -> list[str]:
-        """Rebuild all inverted indexes from first principles and diff
-        them against the live ones; an empty list means consistent."""
-        problems = [f"edge-to-result mismatch at e{eid}" for eid in self.answers.audit()]
+        """Rebuild all inverted indexes, the store's included, from first
+        principles and diff them against the live ones; an empty list
+        means consistent."""
+        problems = self.graph.audit()
+        problems += [f"edge-to-result mismatch at e{eid}" for eid in self.answers.audit()]
         problems += [f"plan edge-row mismatch at e{eid}" for eid in self.plan.rows.audit()]
 
         want = set()

@@ -10,7 +10,8 @@ expression common to several subqueries is materialized once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .provenance import Polynomial, ProvTable
 from .query import CanonicalKey, TriplePattern, Var, canonicalize
@@ -370,6 +371,44 @@ class RootRef:
         return dict(self.varmap)
 
 
+def _tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """row -> tuple(row[i] for i in positions), also for one position."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return itemgetter(*positions)
+
+
+@dataclass(frozen=True)
+class JoinProbe:
+    """One direction of a join node's delta rule, laid out when the node
+    is created: rows of one child (the delta side) probe the other child
+    on their shared slots, and each match's parent row is read out of
+    `delta_row + other_row`."""
+
+    o_slots: tuple[int, ...]  # the other child's shared slots (its index key)
+    d_key: Callable[[tuple], tuple]
+    o_key: Callable[[tuple], tuple]
+    parent_row: Callable[[tuple], tuple]
+
+
+def join_probe(dmap: dict[int, int], omap: dict[int, int], num_vars: int) -> JoinProbe:
+    """Probe layout for delta rows of the child with slot map `dmap`
+    against the child with `omap` (child slot -> parent slot)."""
+    d_of = {ps: s for s, ps in dmap.items()}
+    o_of = {ps: s for s, ps in omap.items()}
+    shared = sorted(d_of.keys() & o_of.keys())
+    d_slots = tuple(d_of[ps] for ps in shared)
+    o_slots = tuple(o_of[ps] for ps in shared)
+    width = len(dmap)
+    gather = tuple(
+        d_of[ps] if ps in d_of else width + o_of[ps] for ps in range(num_vars)
+    )
+    return JoinProbe(
+        o_slots, _tuple_getter(d_slots), _tuple_getter(o_slots), _tuple_getter(gather)
+    )
+
+
 @dataclass
 class PlanNode:
     key: CanonicalKey
@@ -383,6 +422,9 @@ class PlanNode:
     # group of the plan's ProvTable
     table: dict[tuple[int, ...], Polynomial]
     roots: list[RootRef] = field(default_factory=list)
+    # join nodes: (left child's rows probing the right, right's probing
+    # the left)
+    probes: tuple[JoinProbe, JoinProbe] | None = None
     # lazily built hash indexes: slot subset -> key tuple -> rows
     indexes: dict[tuple[int, ...], dict[tuple[int, ...], set[tuple[int, ...]]]] = field(
         default_factory=dict
@@ -457,23 +499,26 @@ def merge_into_global(
         if cf.key in plan.nodes:
             return cf.key, cf.varmap
         deriv = local.derivations[subset]
-        children = None
+        num_vars = len(set(cf.varmap.values()))
+        children = probes = None
         if deriv is not None:
             lkey, lvm = add(deriv[0])
             rkey, rvm = add(deriv[1])
             lmap = {slot: cf.varmap[name] for name, slot in lvm.items()}
             rmap = {slot: cf.varmap[name] for name, slot in rvm.items()}
             children = ((lkey, lmap), (rkey, rmap))
+            probes = (join_probe(lmap, rmap, num_vars), join_probe(rmap, lmap, num_vars))
         node = PlanNode(
             key=cf.key,
             patterns=patterns_from_key(cf.key),
-            num_vars=len(set(cf.varmap.values())),
+            num_vars=num_vars,
             predicates=frozenset(
                 p.predicate for p in pats if isinstance(p.predicate, str)
             ),
             estimate=estimate_cardinality(pats, stats),
             children=children,
             table=plan.rows.group(cf.key),
+            probes=probes,
         )
         plan.nodes[cf.key] = node
         plan.pending.append(node)

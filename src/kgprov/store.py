@@ -9,7 +9,7 @@ stay unambiguous across deletions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,16 @@ class KnowledgeGraph:
         self._next_id = 1
         # bumped by every insert and every delete that removes an edge
         self.mutations = 0
-        # triple-pattern indexes, all mapping key -> set of edge ids
-        self._by_sp: dict[tuple[int, int], set[int]] = {}
-        self._by_po: dict[tuple[int, int], set[int]] = {}
-        self._by_so: dict[tuple[int, int], set[int]] = {}
-        self._by_spo: dict[tuple[int, int, int], set[int]] = {}
-        self._by_s: dict[int, set[int]] = {}
-        self._by_p: dict[int, set[int]] = {}
-        self._by_o: dict[int, set[int]] = {}
+        # triple-pattern indexes, key -> bucket of edge ids.  A bucket
+        # holding one edge is the bare int id; a set bucket always holds
+        # at least two ids, and an empty bucket is no key at all.
+        self._by_sp: dict[tuple[int, int], int | set[int]] = {}
+        self._by_po: dict[tuple[int, int], int | set[int]] = {}
+        self._by_so: dict[tuple[int, int], int | set[int]] = {}
+        self._by_spo: dict[tuple[int, int, int], int | set[int]] = {}
+        self._by_s: dict[int, int | set[int]] = {}
+        self._by_p: dict[int, int | set[int]] = {}
+        self._by_o: dict[int, int | set[int]] = {}
 
     # --- interning helpers ---
 
@@ -86,19 +88,31 @@ class KnowledgeGraph:
 
     # --- mutation ---
 
+    def _buckets(self, s: int, p: int, o: int) -> tuple:
+        """(index, key) of the seven buckets an (s, p, o) edge sits in."""
+        return (
+            (self._by_sp, (s, p)),
+            (self._by_po, (p, o)),
+            (self._by_so, (s, o)),
+            (self._by_spo, (s, p, o)),
+            (self._by_s, s),
+            (self._by_p, p),
+            (self._by_o, o),
+        )
+
     def insert_edge(self, subject: int, predicate: int, obj: int) -> int:
         eid = self._next_id
         self._next_id += 1
         self.mutations += 1
-        edge = Edge(eid, subject, predicate, obj)
-        self.edges[eid] = edge
-        self._by_sp.setdefault((subject, predicate), set()).add(eid)
-        self._by_po.setdefault((predicate, obj), set()).add(eid)
-        self._by_so.setdefault((subject, obj), set()).add(eid)
-        self._by_spo.setdefault((subject, predicate, obj), set()).add(eid)
-        self._by_s.setdefault(subject, set()).add(eid)
-        self._by_p.setdefault(predicate, set()).add(eid)
-        self._by_o.setdefault(obj, set()).add(eid)
+        self.edges[eid] = Edge(eid, subject, predicate, obj)
+        for index, key in self._buckets(subject, predicate, obj):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = eid
+            elif isinstance(bucket, int):
+                index[key] = {bucket, eid}
+            else:
+                bucket.add(eid)
         return eid
 
     def insert_triple(self, subject: str, predicate: str, obj: str) -> int:
@@ -111,43 +125,45 @@ class KnowledgeGraph:
         if edge is None:
             return None
         self.mutations += 1
-        s, p, o = edge.subject, edge.predicate, edge.object
-        for index, key in (
-            (self._by_sp, (s, p)),
-            (self._by_po, (p, o)),
-            (self._by_so, (s, o)),
-            (self._by_spo, (s, p, o)),
-            (self._by_s, s),
-            (self._by_p, p),
-            (self._by_o, o),
-        ):
+        for index, key in self._buckets(edge.subject, edge.predicate, edge.object):
             bucket = index[key]
-            bucket.discard(eid)
-            if not bucket:
+            if isinstance(bucket, int):
                 del index[key]
+            else:
+                bucket.discard(eid)
+                if len(bucket) == 1:
+                    index[key] = bucket.pop()
         return edge
 
     # --- access paths ---
 
     def lookup_ids(
         self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> set[int]:
-        """Edge ids matching the pattern; None positions are wildcards."""
+    ) -> Collection[int]:
+        """Edge ids matching the pattern; None positions are wildcards.
+
+        A bucket of two or more ids is returned as the live set, which
+        the caller must not mutate; one id comes as a 1-tuple and no id
+        as an empty tuple."""
         if s is not None and p is not None and o is not None:
-            return self._by_spo.get((s, p, o), _EMPTY)
-        if s is not None and p is not None:
-            return self._by_sp.get((s, p), _EMPTY)
-        if p is not None and o is not None:
-            return self._by_po.get((p, o), _EMPTY)
-        if s is not None and o is not None:
-            return self._by_so.get((s, o), _EMPTY)
-        if s is not None:
-            return self._by_s.get(s, _EMPTY)
-        if o is not None:
-            return self._by_o.get(o, _EMPTY)
-        if p is not None:
-            return self._by_p.get(p, _EMPTY)
-        return set(self.edges)
+            bucket = self._by_spo.get((s, p, o))
+        elif s is not None and p is not None:
+            bucket = self._by_sp.get((s, p))
+        elif p is not None and o is not None:
+            bucket = self._by_po.get((p, o))
+        elif s is not None and o is not None:
+            bucket = self._by_so.get((s, o))
+        elif s is not None:
+            bucket = self._by_s.get(s)
+        elif o is not None:
+            bucket = self._by_o.get(o)
+        elif p is not None:
+            bucket = self._by_p.get(p)
+        else:
+            return set(self.edges)
+        if bucket is None:
+            return ()
+        return (bucket,) if isinstance(bucket, int) else bucket
 
     def lookup(
         self, s: int | None = None, p: int | None = None, o: int | None = None
@@ -162,6 +178,34 @@ class KnowledgeGraph:
 
     def has_edge_between(self, s: int, o: int) -> bool:
         return (s, o) in self._by_so
+
+    # --- consistency ---
+
+    def audit(self) -> list[str]:
+        """Rebuild the seven indexes from `edges` and diff them against
+        the live ones, and flag every set bucket of fewer than two ids;
+        an empty list means consistent."""
+        names = ("sp", "po", "so", "spo", "s", "p", "o")  # _buckets order
+        want: dict[str, dict] = {name: {} for name in names}
+        for e in self.edges.values():
+            for name, (_, key) in zip(names, self._buckets(e.subject, e.predicate, e.object)):
+                want[name].setdefault(key, set()).add(e.id)
+        problems = []
+        for name, (index, _) in zip(names, self._buckets(None, None, None)):
+            have = {}
+            for key, bucket in index.items():
+                if isinstance(bucket, int):
+                    have[key] = {bucket}
+                else:
+                    have[key] = set(bucket)
+                    if len(bucket) < 2:
+                        problems.append(f"store {name} set bucket of {len(bucket)} at {key}")
+            problems += [
+                f"store {name} index mismatch at {key}"
+                for key in sorted(want[name].keys() | have.keys())
+                if want[name].get(key) != have.get(key)
+            ]
+        return problems
 
     # --- summary ---
 
@@ -182,8 +226,6 @@ class KnowledgeGraph:
     def num_predicates(self) -> int:
         return len(self.predicates)
 
-
-_EMPTY: set[int] = set()
 
 
 class LoadError(Exception):

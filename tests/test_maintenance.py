@@ -290,6 +290,29 @@ def test_statistics_follow_every_update(engine):
     assert stats.pred_counts["coAuthor"] == len(coauthor) - 2
 
 
+def test_update_releases_statistics_catalog(engine, running_query, monkeypatch):
+    built = []
+    real = maintenance.compute_statistics
+    monkeypatch.setattr(
+        maintenance, "compute_statistics", lambda g: built.append(g) or real(g)
+    )
+    g = engine.graph
+    engine.register_query(running_query)
+    engine.register_query(parse_query("SELECT ?a WHERE { ?a hasDegree PhD . ?a worksIn ?w . }"))
+    assert len(built) == 1  # registrations with no update between share one
+    assert engine._stats_cache is not None
+
+    engine.insert_triple("Ooi", "coAuthor", "Gehrke")
+    assert engine._stats_cache is None
+    engine.register_query(parse_query("SELECT ?a WHERE { ?a coAuthor ?b . ?b worksIn ?w . }"))
+    assert len(built) == 2
+    coauthor = [e.id for e in g.lookup(p=g.predicates.get("coAuthor"))]
+    assert engine._current_stats().pred_counts["coAuthor"] == len(coauthor)
+
+    engine.delete_edge(coauthor[0])
+    assert engine._stats_cache is None
+
+
 # ---------------------------------------------------------------------------
 # Plan materialization at registration
 # ---------------------------------------------------------------------------
@@ -465,6 +488,19 @@ def test_audit_flags_connection_point_corruption(registered):
     problems = engine.index_audit()
     assert f"connection point missing at {key}" in problems
     assert f"stale connection point at {(999, pred, direction)}" in problems
+
+
+def test_audit_flags_store_corruption(registered):
+    engine, _ = registered
+    by_sp = engine.graph._by_sp
+    key = next(k for k, bucket in by_sp.items() if isinstance(bucket, int))
+    eid = by_sp[key]
+    by_sp[key] = eid + 100  # a single-edge bucket naming the wrong edge
+    assert f"store sp index mismatch at {key}" in engine.index_audit()
+    by_sp[key] = {eid}  # the right edge, but in a one-element set
+    assert engine.index_audit() == [f"store sp set bucket of 1 at {key}"]
+    by_sp[key] = eid
+    assert engine.index_audit() == []
 
 
 def test_audit_flags_missing_entry(registered):

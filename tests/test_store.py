@@ -82,6 +82,65 @@ def test_lookup_matches_linear_scan(seed):
         assert g.count(s, p, o) == len(want)
 
 
+def test_access_paths_follow_interleaved_updates():
+    """Inserts and deletes, duplicate triples included, move buckets
+    through 0 -> 1 -> 2 -> 1 -> 0 ids; after every operation each access
+    path agrees with a linear scan and the store audit is clean."""
+    rng = random.Random(7)
+    g = KnowledgeGraph()
+    nodes = [g.node(f"n{i}") for i in range(3)]
+    preds = [g.predicate(f"p{i}") for i in range(2)]
+    moves = set()  # (ids before, ids after) of the touched (s, p, o) bucket
+    for _ in range(400):
+        if len(g.edges) > rng.randrange(12):
+            e = g.edges[rng.choice(sorted(g.edges))]
+            triple, step = (e.subject, e.predicate, e.object), -1
+            before = g.count(*triple)
+            g.delete_edge(e.id)
+        else:
+            triple, step = (rng.choice(nodes), rng.choice(preds), rng.choice(nodes)), 1
+            before = g.count(*triple)
+            g.insert_edge(*triple)
+        assert g.count(*triple) == before + step
+        moves.add((before, before + step))
+
+        for s in nodes + [None]:
+            for p in preds + [None]:
+                for o in nodes + [None]:
+                    want = {
+                        e.id
+                        for e in g.edges.values()
+                        if (s is None or e.subject == s)
+                        and (p is None or e.predicate == p)
+                        and (o is None or e.object == o)
+                    }
+                    ids = g.lookup_ids(s, p, o)
+                    assert sorted(ids) == sorted(want)
+                    assert bool(ids) == bool(want)
+                    assert {e.id for e in g.lookup(s, p, o)} == want
+                    assert g.count(s, p, o) == len(want)
+        for s in nodes:
+            for o in nodes:
+                assert g.has_edge_between(s, o) == any(
+                    e.subject == s and e.object == o for e in g.edges.values()
+                )
+        assert g.audit() == []
+    assert {(0, 1), (1, 2), (2, 1), (1, 0)} <= moves
+
+
+def test_lookup_results_cannot_change_the_store():
+    g = KnowledgeGraph()
+    x, y, p = g.node("x"), g.node("y"), g.predicate("p")
+    eid = g.insert_edge(x, p, y)
+    empty, single = g.lookup_ids(y, p, x), g.lookup_ids(x, p, y)
+    for result in (empty, single):
+        with pytest.raises(AttributeError):
+            result.add(99)
+    assert list(g.lookup_ids(y, p, x)) == []
+    assert list(g.lookup_ids(x, p, y)) == [eid]
+    assert g.audit() == []
+
+
 def test_has_edge_between(academia):
     g = academia
     assert g.has_edge_between(g.node("Ooi"), g.node("Ramakrishnan"))
