@@ -1,6 +1,7 @@
 """Provenance-aware evaluation: full query evaluation, plan-table
 materialization, and single-edge delta propagation through the shared
-plan DAG.
+plan DAG.  One join (`join_tables`) and one delta rule (`join_delta`)
+serve both the plan's join nodes and the engine's answer joins.
 
 Every produced row carries a polynomial whose monomials are exactly the
 edge multisets of its derivations, so deletion reduces to monomial
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .planner import GlobalPlan, JoinProbe, PlanNode
-from .provenance import Polynomial, ResultDelta, Row
+from .provenance import Polynomial, ResultDelta
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph
 
@@ -170,20 +171,22 @@ def materialize_node(node: PlanNode, g: KnowledgeGraph) -> dict[tuple[int, ...],
     }
 
 
-def _join_children(plan: GlobalPlan, node: PlanNode) -> dict[tuple[int, ...], Polynomial]:
-    """A join node's table from its children's current tables.
+def join_tables(
+    left: PlanNode, right: PlanNode, probes: tuple[JoinProbe, JoinProbe]
+) -> dict[tuple[int, ...], Polynomial]:
+    """left ⋈ right from the two nodes' current tables; `probes` lays out
+    left rows probing right and right rows probing left.
 
-    Children hold full bindings, so summing the products over matching
-    row pairs yields every derivation of the node exactly once.  The
-    smaller child is hashed for this join only, so registration leaves
-    no index behind that the update path did not ask for."""
-    left, right = (plan.nodes[key] for key, _ in node.children)
-    probe, big, small = node.probes[0], left, right
+    Both sides hold full bindings, so summing the products over matching
+    row pairs yields every derivation exactly once.  The smaller side is
+    hashed for this join only, so the call leaves no index behind that
+    the update path did not ask for."""
+    probe, big, small = probes[0], left, right
     if len(left.table) < len(right.table):
-        probe, big, small = node.probes[1], right, left
+        probe, big, small = probes[1], right, left
     out: dict[tuple[int, ...], Polynomial] = {}
-    if small.table:  # an empty child leaves the node empty
-        _join_delta(big.table, probe, small, small.table, out)
+    if small.table:  # an empty side leaves the join empty
+        _probe(big.table, probe, small, small.table, out)
     return out
 
 
@@ -191,7 +194,11 @@ def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
     """Fill the table (and the edge->row index) of every node created
     since the last call, children first; only leaves read the store."""
     for node in plan.pending:
-        rows = materialize_node(node, g) if node.is_leaf else _join_children(plan, node)
+        if node.is_leaf:
+            rows = materialize_node(node, g)
+        else:
+            left, right = (plan.nodes[key] for key, _ in node.children)
+            rows = join_tables(left, right, node.probes)
         plan.rows.add(node.key, rows)
     plan.pending.clear()
     return plan
@@ -249,7 +256,7 @@ def _leaf_delta(node: PlanNode, e: Edge, g: KnowledgeGraph) -> dict[tuple[int, .
     return {row: Polynomial.edge(e.id)}
 
 
-def _join_delta(
+def _probe(
     delta: dict[tuple[int, ...], Polynomial],
     probe: JoinProbe,
     other: PlanNode,
@@ -276,6 +283,27 @@ def _join_delta(
             out[key] = out[key] + poly if key in out else poly
 
 
+def join_delta(
+    left: PlanNode,
+    right: PlanNode,
+    probes: tuple[JoinProbe, JoinProbe],
+    dl: dict[tuple[int, ...], Polynomial] | None,
+    dr: dict[tuple[int, ...], Polynomial] | None,
+) -> dict[tuple[int, ...], Polynomial]:
+    """The delta rule ΔL⋈R + L⋈ΔR + ΔL⋈ΔR of left ⋈ right, given each
+    side's delta (None or empty for none) against its current, pre-apply
+    table; `probes` is laid out as for `join_tables`."""
+    lprobe, rprobe = probes
+    d: dict[tuple[int, ...], Polynomial] = {}
+    if dl:
+        _probe(dl, lprobe, right, None, d)
+    if dr:
+        _probe(dr, rprobe, left, None, d)
+    if dl and dr:
+        _probe(dl, lprobe, right, dr, d)
+    return d
+
+
 def compute_insert_deltas(
     plan: GlobalPlan, g: KnowledgeGraph, e: Edge
 ) -> dict[tuple, dict[tuple[int, ...], Polynomial]]:
@@ -293,41 +321,21 @@ def compute_insert_deltas(
             d = _leaf_delta(node, e, g)
         else:
             (lkey, _), (rkey, _) = node.children
-            lprobe, rprobe = node.probes
-            dl = deltas.get(lkey)
-            dr = deltas.get(rkey)
-            d: dict[tuple[int, ...], Polynomial] = {}
-            left, right = plan.nodes[lkey], plan.nodes[rkey]
-            if dl:
-                _join_delta(dl, lprobe, right, None, d)
-            if dr:
-                _join_delta(dr, rprobe, left, None, d)
-            if dl and dr:
-                _join_delta(dl, lprobe, right, dr, d)
+            d = join_delta(
+                plan.nodes[lkey], plan.nodes[rkey], node.probes,
+                deltas.get(lkey), deltas.get(rkey),
+            )
         if d:
             deltas[node.key] = d
     return deltas
 
 
-def apply_insert_deltas(
-    plan: GlobalPlan, deltas: dict
-) -> list[tuple[PlanNode, list[Row]]]:
-    """Merge computed insert deltas into the node tables and indexes;
-    returns (node, rows new to its table) for every node that gained rows."""
-    grown = []
+def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
+    """Merge computed insert deltas into the node tables and indexes."""
     for key, d in deltas.items():
-        fresh = plan.rows.add(key, d)
-        if fresh:
-            node = plan.nodes[key]
-            for row in fresh:
-                _index_add(node, row)
-            grown.append((node, fresh))
-    return grown
-
-
-def delta_insert(plan: GlobalPlan, g: KnowledgeGraph, e: Edge) -> list:
-    """Compute and apply the insert deltas in one step."""
-    return apply_insert_deltas(plan, compute_insert_deltas(plan, g, e))
+        node = plan.nodes[key]
+        for row in plan.rows.add(key, d):
+            _index_add(node, row)
 
 
 # --------------------------------------------------------------------------

@@ -371,7 +371,7 @@ class RootRef:
         return dict(self.varmap)
 
 
-def _tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+def tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
     """row -> tuple(row[i] for i in positions), also for one position."""
     if len(positions) == 1:
         (i,) = positions
@@ -405,7 +405,7 @@ def join_probe(dmap: dict[int, int], omap: dict[int, int], num_vars: int) -> Joi
         d_of[ps] if ps in d_of else width + o_of[ps] for ps in range(num_vars)
     )
     return JoinProbe(
-        o_slots, _tuple_getter(d_slots), _tuple_getter(o_slots), _tuple_getter(gather)
+        o_slots, tuple_getter(d_slots), tuple_getter(o_slots), tuple_getter(gather)
     )
 
 

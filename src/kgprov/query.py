@@ -1,5 +1,6 @@
 """BGP query frontend: parsing, canonicalization, and the Regular /
-MultiMap classification that decides how a standing query is maintained.
+MultiMap classification, which records the patterns that may bind one
+edge together (the engine's delta rule handles both kinds alike).
 """
 
 from __future__ import annotations
@@ -114,8 +115,6 @@ class Classification:
     multimap: bool
     # predicate name -> ordinals of patterns that may co-bind one edge
     shared_groups: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    # predicate name -> ordinal of the designated trigger subquery
-    triggers: dict[str, int] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +439,6 @@ def classify_query(q: QueryGraph, meta: PredicateMetadata | None = None) -> Clas
         if isinstance(p.predicate, str):
             by_pred.setdefault(p.predicate, []).append(p)
     groups: dict[str, tuple[int, ...]] = {}
-    triggers: dict[str, int] = {}
     for pred, pats in by_pred.items():
         if len(pats) < 2:
             continue
@@ -454,9 +452,7 @@ def classify_query(q: QueryGraph, meta: PredicateMetadata | None = None) -> Clas
                 if not excluded:
                     survivors.update((ta.ordinal, tb.ordinal))
         if survivors:
-            ordinals = tuple(sorted(survivors))
-            groups[pred] = ordinals
-            triggers[pred] = ordinals[0]
+            groups[pred] = tuple(sorted(survivors))
     if groups:
-        return Classification(True, groups, triggers)
+        return Classification(True, groups)
     return Classification(False)

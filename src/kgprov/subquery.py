@@ -1,6 +1,8 @@
 """Subquery generation: every (n-1)-pattern query obtained by removing one
 triple pattern, split into variable-connected components and classified
-into the four structural types that drive connection-point annotation.
+into four structural types.  The types place each subquery's connection
+points, and a one-component subquery (Type I or IV) supplies the root of
+a query's answer join.
 """
 
 from __future__ import annotations

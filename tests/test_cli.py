@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -140,6 +141,17 @@ def test_dump_annotations(runner, query_file):
         and r["direction"] == "out"
     ]
     assert any(r["provenance"] == "e15*e16" for r in ooi)
+
+
+@pytest.mark.parametrize("what", ["annotations", "plan"])
+def test_dump_matches_golden_output(runner, query_file, what):
+    """The running query's dump, byte for byte as recorded in
+    tests/data/running_<what>.jsonl."""
+    result = runner.invoke(main, ["dump", "-g", FIXTURE, "-q", query_file, what])
+    assert result.exit_code == 0, result.output
+    golden = os.path.join(os.path.dirname(FIXTURE), f"running_{what}.jsonl")
+    with open(golden, "rb") as fh:
+        assert result.stdout_bytes == fh.read()
 
 
 def test_dump_plan_and_stats(runner, query_file):

@@ -6,8 +6,9 @@ from __future__ import annotations
 import random
 
 from kgprov.evaluate import (
+    apply_insert_deltas,
+    compute_insert_deltas,
     delta_delete,
-    delta_insert,
     evaluate_bgp,
     hash_join,
     materialize_plan,
@@ -26,6 +27,11 @@ from kgprov.query import TriplePattern, Var, canonicalize, parse_query
 from kgprov.workload import random_graph, random_query
 
 from conftest import brute_force_answers, enumerate_matches
+
+
+def delta_insert(plan, g, e):
+    """Compute and apply the insert deltas in one step."""
+    apply_insert_deltas(plan, compute_insert_deltas(plan, g, e))
 
 
 def as_answer_dict(q, rows):

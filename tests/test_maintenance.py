@@ -12,6 +12,7 @@ import pytest
 from kgprov import maintenance
 from kgprov.evaluate import evaluate_patterns
 from kgprov.maintenance import IN, OUT, Engine
+from kgprov.planner import PLAN_SIZE_CAP
 from kgprov.provenance import Polynomial
 from kgprov.query import (
     QueryError,
@@ -22,6 +23,7 @@ from kgprov.query import (
     parse_query,
 )
 from kgprov.store import KnowledgeGraph
+from kgprov.subquery import generate_subqueries
 from kgprov.workload import random_graph, random_query
 
 from conftest import RUNNING_QUERY, brute_force_answers
@@ -217,6 +219,30 @@ def test_update_report_timing_split(registered):
     assert report.response_time >= 0.0
 
 
+def test_failed_insert_leaves_engine_unchanged(registered, running_query, monkeypatch):
+    engine, _ = registered
+    g = engine.graph
+    edges = set(g.edges)
+
+    def boom(*args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(maintenance, "join_delta", boom)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        engine.insert_triple("Sarawagi", "worksIn", "IITB")
+    assert set(g.edges) == edges
+    assert answer_dict(engine, 1) == brute_force_answers(running_query, g)
+    for node in engine.plan.nodes.values():
+        assert node.table == fresh_node_table(node, g)
+    assert engine.index_audit() == []
+
+    monkeypatch.undo()
+    report = engine.insert_triple("Sarawagi", "worksIn", "IITB")
+    assert len(report.added[1]) == 2
+    assert answer_dict(engine, 1) == brute_force_answers(running_query, g)
+    assert engine.index_audit() == []
+
+
 # ---------------------------------------------------------------------------
 # Maintained state equals from-scratch evaluation
 # ---------------------------------------------------------------------------
@@ -241,6 +267,87 @@ def test_update_stream_tracks_oracle(registered, running_query):
         want = brute_force_answers(running_query, engine.graph)
         assert answer_dict(engine, 1) == want
         assert engine.index_audit() == []
+
+
+def _chain(n):
+    body = " . ".join(f"?x{i} c{i} ?x{i + 1}" for i in range(n))
+    return parse_query(f"SELECT ?x0 ?x{n} WHERE {{ {body} }}")
+
+
+def test_answer_join_tracks_oracle_on_every_shape():
+    """Every update on a small graph with duplicate triples, checked
+    against the brute-force oracle for queries of every shape that the
+    answer join must handle."""
+    rng = random.Random(5)
+    names = [f"n{i}" for i in range(8)]
+    g = KnowledgeGraph()
+    # a path for the chains below, which read c0 ... c10, one predicate
+    # per pattern, so that the oracle's walk enumeration stays small
+    for i in range(11):
+        g.insert_triple(f"n{i % 8}", f"c{i}", f"n{(i + 1) % 8}")
+    # answers for the self-loop and constant queries
+    for s, p, o in (("n5", "p1", "n5"), ("n6", "p0", "n6"), ("n6", "p1", "n7"),
+                    ("n3", "p2", "n1"), ("n3", "p0", "n4")):
+        g.insert_triple(s, p, o)
+    preds = [f"p{i % 3}" for i in range(12)] + [f"c{i}" for i in range(11)]
+    for _ in range(18):
+        g.insert_triple(rng.choice(names), rng.choice(preds), rng.choice(names))
+    for t in list(g.edges.values())[:4]:  # duplicate triples
+        g.insert_edge(t.subject, t.predicate, t.object)
+    engine = Engine(g)
+    queries = [
+        parse_query("SELECT ?x ?y WHERE { ?x p0 ?y . }"),  # single pattern
+        parse_query("SELECT ?x WHERE { ?x p1 ?x . }"),  # single self-loop
+        parse_query("SELECT ?x ?y WHERE { ?x p0 ?x . ?x p1 ?y . }"),  # self-loop
+        parse_query("SELECT ?x WHERE { ?x p2 n1 . ?x p0 ?y . }"),  # constant
+        # one edge can serve both p0 patterns: degree-2 monomials
+        parse_query("SELECT ?x ?z WHERE { ?x p0 ?y . ?z p0 ?y . ?y p1 ?w . }"),
+        parse_query("SELECT ?a ?a WHERE { ?a p2 ?b . ?b p2 ?c . }"),
+        _chain(10),  # heuristic canonical form (more than 8 patterns)
+        _chain(11),  # its end-removed subqueries exceed PLAN_SIZE_CAP
+    ]
+    assert any(
+        len(comp) > PLAN_SIZE_CAP
+        for sq in generate_subqueries(queries[-1])
+        for comp in sq.components
+    )
+    late = parse_query("SELECT ?x ?w WHERE { ?x p1 ?y . ?y p0 ?z . ?z p1 ?w . }")
+    seen = collections.Counter()  # query id -> updates after which it had answers
+
+    def check():
+        for qid, rq in engine.queries.items():
+            want = brute_force_answers(rq.query, g)
+            assert answer_dict(engine, qid) == want
+            seen[qid] += bool(want)
+        assert engine.index_audit() == []
+
+    for q in queries:
+        engine.register_query(q)
+    check()
+    degree_two = 0
+    for step in range(60):
+        if step == 30:
+            engine.register_query(late)  # registered mid-stream
+            check()
+        roll = rng.random()
+        if roll < 0.5 and g.edges:
+            engine.delete_edge(rng.choice(sorted(g.edges)))
+        elif roll < 0.65:  # one more copy of a live triple
+            t = g.edges[rng.choice(sorted(g.edges))]
+            engine.insert_triple(
+                g.node_name(t.subject), g.predicate_name(t.predicate), g.node_name(t.object)
+            )
+        else:
+            engine.insert_triple(rng.choice(names), rng.choice(preds), rng.choice(names))
+        check()
+        degree_two += any(
+            exp >= 2
+            for poly in engine.queries[5].answers.values()
+            for mono, _ in poly.terms
+            for _, exp in mono
+        )
+    assert degree_two > 0
+    assert len(seen) == len(queries) + 1 and min(seen.values()) > 0
 
 
 def _connection_points(engine):
@@ -358,11 +465,18 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
     leaves = sum(1 for n in engine.plan.nodes.values() if n.is_leaf)
     assert sum(store_reads) == leaves  # one scan per leaf, none per join
 
-    # every plan node of this query already exists
+    # every plan node of this query already exists: its registration
+    # reads nothing from the store, answers included
     nodes_before = set(engine.plan.nodes)
+    lookups = []
+    real_lookup = KnowledgeGraph.lookup_ids
+    monkeypatch.setattr(
+        KnowledgeGraph, "lookup_ids", lambda self, *a: lookups.append(a) or real_lookup(self, *a)
+    )
     engine.register_query(parse_query("SELECT ?x WHERE { ?x hadAdvisor ?y . ?z hasDegree ?y . }"))
     assert set(engine.plan.nodes) == nodes_before
     assert store_reads[-1] == 0
+    assert lookups == []
     assert filled == collections.Counter(list(engine.plan.nodes))
     for node in engine.plan.nodes.values():
         assert node.table == fresh_node_table(node, g)
@@ -476,18 +590,15 @@ def test_audit_flags_planted_corruption(registered):
     assert any("999" in p for p in problems)
 
 
-def test_audit_flags_connection_point_corruption(registered):
+def test_audit_flags_wrong_answer_polynomial(registered):
     engine, _ = registered
     assert engine.index_audit() == []
-    # move one live connection point to a vertex where no match waits
-    key, entries = next(iter(engine.connection_points.items()))
-    entry = next(iter(entries))
-    entries.discard(entry)
-    vertex, pred, direction = key
-    engine.connection_points.setdefault((999, pred, direction), set()).add(entry)
-    problems = engine.index_audit()
-    assert f"connection point missing at {key}" in problems
-    assert f"stale connection point at {(999, pred, direction)}" in problems
+    answers = engine.queries[1].answers
+    [row] = answers
+    # each derivation counted twice: the same edges, so only the answer
+    # join can tell
+    answers[row] = answers[row] + answers[row]
+    assert engine.index_audit() == [f"answer mismatch in query 1 at {row}"]
 
 
 def test_audit_flags_store_corruption(registered):

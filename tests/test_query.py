@@ -170,8 +170,6 @@ def test_repeated_predicate_is_multimap(running_query):
     cls = classify_query(running_query)
     assert cls.multimap
     assert cls.shared_groups == {"worksIn": (1, 4)}
-    # the trigger is the lowest ordinal of the sharing group
-    assert cls.triggers == {"worksIn": 1}
 
 
 def test_distinct_constants_stay_regular():
