@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .planner import GlobalPlan, JoinProbe, PlanNode
+from .planner import GlobalPlan, JoinProbe, PlanNode, slot_index
 from .provenance import Polynomial, ResultDelta
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph
@@ -199,7 +199,7 @@ def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
         else:
             left, right = (plan.nodes[key] for key, _ in node.children)
             rows = join_tables(left, right, node.probes)
-        plan.rows.add(node.key, rows)
+        plan.rows.add(node, rows)
     plan.pending.clear()
     return plan
 
@@ -212,10 +212,7 @@ def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
 def node_index(node: PlanNode, slots: tuple[int, ...]):
     idx = node.indexes.get(slots)
     if idx is None:
-        idx = {}
-        for row in node.table:
-            idx.setdefault(tuple(row[s] for s in slots), set()).add(row)
-        node.indexes[slots] = idx
+        idx = node.indexes[slots] = slot_index(node.table, slots)
     return idx
 
 
@@ -306,7 +303,7 @@ def join_delta(
 
 def compute_insert_deltas(
     plan: GlobalPlan, g: KnowledgeGraph, e: Edge
-) -> dict[tuple, dict[tuple[int, ...], Polynomial]]:
+) -> dict[PlanNode, dict[tuple[int, ...], Polynomial]]:
     """Bottom-up delta of every plan node for one inserted edge,
     computed against the current (pre-apply) tables; nothing is applied.
     The edge must already be present in the store."""
@@ -321,20 +318,17 @@ def compute_insert_deltas(
             d = _leaf_delta(node, e, g)
         else:
             (lkey, _), (rkey, _) = node.children
-            d = join_delta(
-                plan.nodes[lkey], plan.nodes[rkey], node.probes,
-                deltas.get(lkey), deltas.get(rkey),
-            )
+            left, right = plan.nodes[lkey], plan.nodes[rkey]
+            d = join_delta(left, right, node.probes, deltas.get(left), deltas.get(right))
         if d:
-            deltas[node.key] = d
+            deltas[node] = d
     return deltas
 
 
 def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
     """Merge computed insert deltas into the node tables and indexes."""
-    for key, d in deltas.items():
-        node = plan.nodes[key]
-        for row in plan.rows.add(key, d):
+    for node, d in deltas.items():
+        for row in plan.rows.add(node, d):
             _index_add(node, row)
 
 
@@ -343,17 +337,16 @@ def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
 # --------------------------------------------------------------------------
 
 
-def delta_delete(plan: GlobalPlan, edge_id: int) -> dict[tuple, ResultDelta]:
+def delta_delete(plan: GlobalPlan, edge_id: int) -> dict[PlanNode, ResultDelta]:
     """Prune the deleted edge's monomials from every indexed plan row;
-    returns {node key: ResultDelta}.
+    returns {node: ResultDelta}.
 
     Monomials are exact derivation edge-multisets, so pruning each node
     independently keeps all tables consistent; no re-join is needed.
     """
     report = plan.rows.prune(edge_id)
-    for key, d in report.items():
-        if d.removed:
-            node = plan.nodes[key]
+    for node, d in report.items():
+        if node.indexes:
             for row in d.removed:
                 _index_remove(node, row)
     return report

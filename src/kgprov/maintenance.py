@@ -331,11 +331,11 @@ class Engine:
         t1 = time.perf_counter()
         added: dict[int, dict[Row, Polynomial]] = {}
         for rq in self._by_pred.get(self.graph.predicate_name(e.predicate), ()):
-            dl = deltas.get(rq.leaf.key)
+            dl = deltas.get(rq.leaf)
             if rq.root is None:
                 rows = dl
             else:
-                rows = join_delta(rq.root, rq.leaf, rq.probes, deltas.get(rq.root.key), dl)
+                rows = join_delta(rq.root, rq.leaf, rq.probes, deltas.get(rq.root), dl)
             if rows:
                 added[rq.qid] = _project(rows, rq.project)
         t2 = time.perf_counter()
@@ -386,13 +386,14 @@ class Engine:
     # ------------------------------------------------------------------
 
     def index_audit(self) -> list[str]:
-        """Rebuild all inverted indexes, the store's included, from first
-        principles and diff them against the live ones, and recompute
-        every query's answers from its answer join; an empty list means
-        consistent."""
+        """Rebuild all inverted indexes, the store's and the plan's join
+        probe indexes included, from first principles and diff them
+        against the live ones, check that every stored polynomial is
+        canonical, and recompute every query's answers from its answer
+        join; an empty list means consistent."""
         problems = self.graph.audit()
-        problems += [f"edge-to-result mismatch at e{eid}" for eid in self.answers.audit()]
-        problems += [f"plan edge-row mismatch at e{eid}" for eid in self.plan.rows.audit()]
+        problems += [f"edge-to-result {p}" for p in self.answers.audit()]
+        problems += [f"plan {p}" for p in self.plan.audit()]
         for qid, rq in self.queries.items():
             want, have = self._answer_join(rq), rq.answers
             problems += sorted(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .provenance import Polynomial, ProvTable
 from .query import CanonicalKey, TriplePattern, Var, canonicalize
@@ -91,17 +91,6 @@ class StatsCatalog:
                 count += 1
         self._pair_cache[key] = count
         return count
-
-    def pair_class_counts(
-        self, pred: str
-    ) -> dict[tuple[frozenset[str], frozenset[str]], int]:
-        """Exact grouping of a predicate's (s, o) pairs by their
-        characteristic-set pair; the raw statistic behind pair_count."""
-        out: dict[tuple[frozenset[str], frozenset[str]], int] = {}
-        for s, o in self.pred_pairs.get(pred, ()):
-            k = (self.char_set(s), self.char_set(o))
-            out[k] = out.get(k, 0) + 1
-        return out
 
 
 def compute_statistics(g: KnowledgeGraph) -> StatsCatalog:
@@ -409,8 +398,21 @@ def join_probe(dmap: dict[int, int], omap: dict[int, int], num_vars: int) -> Joi
     )
 
 
-@dataclass
+def slot_index(
+    rows: Iterable[tuple[int, ...]], slots: tuple[int, ...]
+) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
+    """Hash index of rows on a slot subset: key tuple -> rows."""
+    idx: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for row in rows:
+        idx.setdefault(tuple(row[s] for s in slots), set()).add(row)
+    return idx
+
+
+@dataclass(eq=False, repr=False)
 class PlanNode:
+    """A shared plan expression; compared and hashed by identity, so the
+    node itself names its group of the plan's ProvTable."""
+
     key: CanonicalKey
     patterns: list[TriplePattern]
     num_vars: int
@@ -418,9 +420,9 @@ class PlanNode:
     estimate: float
     # (child key, map child-var-slot -> this node's var slot) per side
     children: tuple[tuple[CanonicalKey, dict[int, int]], tuple[CanonicalKey, dict[int, int]]] | None
-    # bindings over var slots 0..num_vars-1 -> provenance; this node's
-    # group of the plan's ProvTable
-    table: dict[tuple[int, ...], Polynomial]
+    # bindings over var slots 0..num_vars-1 -> provenance; the plan's
+    # ProvTable group keyed by this node
+    table: dict[tuple[int, ...], Polynomial] = field(default_factory=dict)
     roots: list[RootRef] = field(default_factory=list)
     # join nodes: (left child's rows probing the right, right's probing
     # the left)
@@ -433,6 +435,9 @@ class PlanNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
+
+    def __repr__(self) -> str:
+        return f"PlanNode({self.label()!r})"
 
     def label(self) -> str:
         def t(term):
@@ -451,15 +456,25 @@ class GlobalPlan:
     def __init__(self):
         self.nodes: dict[CanonicalKey, PlanNode] = {}
         self.pred_index: dict[str, set[CanonicalKey]] = {}
-        # every node table, grouped by node key
+        # every node table, grouped by node
         self.rows = ProvTable()
         # nodes created since the last materialization, children first
         self.pending: list[PlanNode] = []
 
     @property
-    def edge_rows(self) -> dict[int, set[tuple[CanonicalKey, tuple[int, ...]]]]:
-        """Edge id -> (node key, row) pairs whose polynomial mentions it."""
+    def edge_rows(self) -> dict[int, set[tuple[PlanNode, tuple[int, ...]]]]:
+        """Edge id -> (node, row) pairs whose polynomial mentions it."""
         return self.rows.by_edge
+
+    def audit(self) -> list[str]:
+        """The row table's audit, plus every join-probe index that
+        differs from one rebuilt from its node's table."""
+        problems = self.rows.audit()
+        for node in self.nodes.values():
+            for slots, idx in node.indexes.items():
+                if idx != slot_index(node.table, slots):
+                    problems.append(f"probe index mismatch at {node!r} slots {slots}")
+        return problems
 
     def topo_order(self) -> list[PlanNode]:
         """Children strictly before parents."""
@@ -517,9 +532,9 @@ def merge_into_global(
             ),
             estimate=estimate_cardinality(pats, stats),
             children=children,
-            table=plan.rows.group(cf.key),
             probes=probes,
         )
+        node.table = plan.rows.group(node)
         plan.nodes[cf.key] = node
         plan.pending.append(node)
         for pred in node.predicates:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from functools import reduce
 
 # A monomial is a tuple of (edge_id, exponent) pairs sorted by edge_id.
 Monomial = tuple[tuple[int, int], ...]
@@ -28,6 +27,14 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    # disjoint, ordered edge ranges (one-factor operands included)
+    # concatenate without re-sorting
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    if len(a) == 1 and len(b) == 1:
+        return ((a[0][0], a[0][1] + b[0][1]),)
     factors: dict[int, int] = dict(a)
     for eid, exp in b:
         factors[eid] = factors.get(eid, 0) + exp
@@ -64,6 +71,16 @@ class Polynomial:
             self.terms = ()
         self._hash = hash(self.terms)
 
+    @classmethod
+    def _of(cls, terms: tuple[tuple[Monomial, int], ...]) -> Polynomial:
+        """Trusted constructor for terms already in canonical form:
+        sorted, each monomial sorted by edge id with positive exponents,
+        every coefficient nonzero."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        poly._hash = hash(terms)
+        return poly
+
     # --- constructors ---
 
     @classmethod
@@ -76,7 +93,7 @@ class Polynomial:
 
     @classmethod
     def edge(cls, edge_id: int) -> Polynomial:
-        return cls({((edge_id, 1),): 1})
+        return cls._of(((((edge_id, 1),), 1),))
 
     @classmethod
     def monomial(cls, m: Monomial, coeff: int = 1) -> Polynomial:
@@ -85,18 +102,28 @@ class Polynomial:
     # --- semiring operations ---
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        if not self.terms:
+        a, b = self.terms, other.terms
+        if not a:
             return other
-        if not other.terms:
+        if not b:
             return self
-        acc = dict(self.terms)
-        for m, c in other.terms:
+        if len(a) == 1 and len(b) == 1:
+            (ma, ca), (mb, cb) = a[0], b[0]
+            if ma == mb:
+                return Polynomial._of(((ma, ca + cb),))
+            return Polynomial._of(a + b if ma < mb else b + a)
+        acc = dict(a)
+        for m, c in b:
             acc[m] = acc.get(m, 0) + c
         return Polynomial(acc)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return _ZERO
+        if len(a) == 1 and len(b) == 1:
+            (ma, ca), (mb, cb) = a[0], b[0]
+            return Polynomial._of(((mono_mul(ma, mb), ca * cb),))
         acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -127,11 +154,13 @@ class Polynomial:
 
     def prune(self, deleted: int) -> Polynomial:
         """Drop every monomial that contains the deleted edge."""
-        if all(mono_degree(m, deleted) == 0 for m, _ in self.terms):
+        terms = self.terms
+        if len(terms) == 1:
+            return _ZERO if mono_degree(terms[0][0], deleted) else self
+        kept = tuple(t for t in terms if not mono_degree(t[0], deleted))
+        if len(kept) == len(terms):
             return self
-        return Polynomial(
-            {m: c for m, c in self.terms if mono_degree(m, deleted) == 0}
-        )
+        return Polynomial._of(kept) if kept else _ZERO
 
     # --- projections ---
 
@@ -194,14 +223,6 @@ _ZERO = Polynomial()
 _ONE = Polynomial({MONO_ONE: 1})
 
 
-def poly_add(*polys: Polynomial) -> Polynomial:
-    return reduce(lambda a, b: a + b, polys, _ZERO)
-
-
-def poly_mul(*polys: Polynomial) -> Polynomial:
-    return reduce(lambda a, b: a * b, polys, _ONE)
-
-
 # --------------------------------------------------------------------------
 # Provenance-indexed tables
 # --------------------------------------------------------------------------
@@ -234,6 +255,7 @@ class ProvTable:
         """Add each polynomial onto its row of the group, creating rows
         as needed; returns the rows that did not exist before."""
         rows = self.group(name)
+        by_edge = self.by_edge
         fresh = []
         for row, poly in delta.items():
             if not poly:
@@ -244,44 +266,83 @@ class ProvTable:
                 fresh.append(row)
             else:
                 rows[row] = old + poly
-            for eid in poly.edges():
-                self.by_edge.setdefault(eid, set()).add((name, row))
+            entry = (name, row)
+            for mono, _ in poly.terms:
+                for eid, _ in mono:
+                    bucket = by_edge.get(eid)
+                    if bucket is None:
+                        by_edge[eid] = {entry}
+                    else:
+                        bucket.add(entry)
         return fresh
 
     def prune(self, edge_id: int) -> dict[Hashable, ResultDelta]:
         """Drop the monomials that use the edge from every row indexed
         under it, delete rows left at zero, and unindex what is gone."""
         report: dict[Hashable, ResultDelta] = {}
-        for name, row in self.by_edge.pop(edge_id, ()):
+        by_edge = self.by_edge
+        for entry in by_edge.pop(edge_id, ()):
+            name, row = entry
             rows = self.groups[name]
             old = rows[row]
-            new = old.prune(edge_id)
             delta = report.get(name)
             if delta is None:
                 delta = report[name] = ResultDelta()
+            # a one-term row is indexed here only if its monomial uses
+            # the edge, so it goes without a prune
+            new = old.prune(edge_id) if len(old.terms) > 1 else _ZERO
             if new:
                 rows[row] = new
                 delta.pruned[row] = new
+                gone = old.edges() - new.edges()
             else:
                 del rows[row]
                 delta.removed[row] = old
-            for gone in old.edges() - new.edges():
-                if gone == edge_id:
-                    continue
-                bucket = self.by_edge.get(gone)
-                if bucket is not None:
-                    bucket.discard((name, row))
+                gone = (eid for mono, _ in old.terms for eid, _ in mono)
+            for eid in gone:
+                bucket = by_edge.get(eid)
+                if bucket is not None:  # None for edge_id, or seen already
+                    bucket.discard(entry)
                     if not bucket:
-                        del self.by_edge[gone]
+                        del by_edge[eid]
         return report
 
-    def audit(self) -> list[int]:
-        """Edge ids whose index entry differs from one rebuilt from the
-        rows (empty index buckets count as absent)."""
+    def audit(self) -> list[str]:
+        """Stored polynomials not in canonical form, and edge ids whose
+        index entry differs from one rebuilt from the rows (empty index
+        buckets count as absent)."""
+        problems = []
         want: dict[int, set] = {}
         for name, rows in self.groups.items():
             for row, poly in rows.items():
+                fault = _canonical_fault(poly)
+                if fault:
+                    problems.append(f"non-canonical polynomial at {name!r} {row}: {fault}")
                 for eid in poly.edges():
                     want.setdefault(eid, set()).add((name, row))
         have = {eid: v for eid, v in self.by_edge.items() if v}
-        return sorted(e for e in want.keys() | have.keys() if want.get(e) != have.get(e))
+        problems += [
+            f"index mismatch at e{e}"
+            for e in sorted(want.keys() | have.keys())
+            if want.get(e) != have.get(e)
+        ]
+        return problems
+
+
+def _canonical_fault(poly: Polynomial) -> str | None:
+    """Why a stored (nonzero) polynomial breaks canonical form, or None."""
+    terms = poly.terms
+    if not terms:
+        return "zero"
+    if poly._hash != hash(terms):
+        return "stale hash"
+    if any(a[0] >= b[0] for a, b in zip(terms, terms[1:])):
+        return "terms not sorted"
+    for mono, coeff in terms:
+        if coeff < 1:
+            return f"coefficient {coeff}"
+        if any(exp < 1 for _, exp in mono):
+            return "exponent below 1"
+        if any(a[0] >= b[0] for a, b in zip(mono, mono[1:])):
+            return "monomial not sorted by edge id"
+    return None

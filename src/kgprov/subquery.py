@@ -124,14 +124,3 @@ def generate_subqueries(q: QueryGraph) -> list[Subquery]:
         )
     return out
 
-
-def expected_connection_point_bound(sq: Subquery, a1: int, a2: int = 0) -> int:
-    """Per-type upper bound on annotations created from component result
-    counts a1 = |A(SQ1)| and a2 = |A(SQ2)|."""
-    if a1 < 0 or a2 < 0:
-        raise ValueError("result counts must be non-negative")
-    if sq.sq_type in (SubqueryType.I, SubqueryType.II):
-        return a1
-    if sq.sq_type is SubqueryType.III:
-        return a1 + a2
-    return 2 * a1

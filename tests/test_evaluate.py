@@ -156,10 +156,10 @@ def test_edge_rows_cover_every_table_row(academia, running_query):
     plan, _ = build_plan(academia, [running_query])
     materialize_plan(plan, academia)
     listed = {
-        (key, row) for entries in plan.edge_rows.values() for key, row in entries
+        (node, row) for entries in plan.edge_rows.values() for node, row in entries
     }
     actual = {
-        (key, row) for key, node in plan.nodes.items() for row in node.table
+        (node, row) for node in plan.nodes.values() for row in node.table
     }
     assert actual <= listed
 

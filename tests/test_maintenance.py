@@ -303,6 +303,8 @@ def test_answer_join_tracks_oracle_on_every_shape():
         # one edge can serve both p0 patterns: degree-2 monomials
         parse_query("SELECT ?x ?z WHERE { ?x p0 ?y . ?z p0 ?y . ?y p1 ?w . }"),
         parse_query("SELECT ?a ?a WHERE { ?a p2 ?b . ?b p2 ?c . }"),
+        # a self-join over the self-loop n5 p1 n5: exponents 2 and 3
+        parse_query("SELECT ?x ?w WHERE { ?x p1 ?y . ?y p1 ?z . ?z p1 ?w . }"),
         _chain(10),  # heuristic canonical form (more than 8 patterns)
         _chain(11),  # its end-removed subqueries exceed PLAN_SIZE_CAP
     ]
@@ -323,6 +325,27 @@ def test_answer_join_tracks_oracle_on_every_shape():
 
     for q in queries:
         engine.register_query(q)
+    check()
+    assert any(
+        exp == 2
+        for node in engine.plan.nodes.values()
+        for poly in node.table.values()
+        for mono, _ in poly.terms
+        for _, exp in mono
+    )
+    n5, p1 = g.nodes.get("n5"), g.predicates.get("p1")
+    loop = min(g.lookup_ids(n5, p1, n5))
+    assert ((loop, 3),) in [m for poly in engine.queries[7].answers.values() for m, _ in poly.terms]
+    # a duplicate triple gives a leaf row two monomials; deleting one
+    # copy keeps the row with the other
+    node, row, poly = next(
+        (n, r, p)
+        for n in engine.plan.nodes.values() if n.is_leaf
+        for r, p in n.table.items() if len(p.terms) > 1
+    )
+    [(eid, _)] = poly.terms[0][0]
+    engine.delete_edge(eid)
+    assert node.table[row] == poly.prune(eid) != Polynomial.zero()
     check()
     degree_two = 0
     for step in range(60):
@@ -435,14 +458,14 @@ def fresh_node_table(node, g):
 
 def test_each_plan_node_materialized_once(engine, monkeypatch):
     g = engine.graph
-    filled = collections.Counter()  # node key -> tables written
+    filled = collections.Counter()  # node -> tables written
     store_reads = []  # store lookups per materialization
     real_materialize = maintenance.materialize_plan
 
     def counting_materialize(plan, graph):
         reads = []
         real_add, real_lookup = plan.rows.add, graph.lookup_ids
-        plan.rows.add = lambda key, rows: filled.update([key]) or real_add(key, rows)
+        plan.rows.add = lambda node, rows: filled.update([node]) or real_add(node, rows)
         graph.lookup_ids = lambda *a: reads.append(a) or real_lookup(*a)
         try:
             return real_materialize(plan, graph)
@@ -461,7 +484,7 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
         if n.label() == "?v0 hadAdvisor ?v1 . ?v2 hasDegree ?v1"
     ]
     assert empty.table == {}
-    assert filled == collections.Counter(list(engine.plan.nodes))
+    assert filled == collections.Counter(engine.plan.nodes.values())
     leaves = sum(1 for n in engine.plan.nodes.values() if n.is_leaf)
     assert sum(store_reads) == leaves  # one scan per leaf, none per join
 
@@ -477,7 +500,7 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
     assert set(engine.plan.nodes) == nodes_before
     assert store_reads[-1] == 0
     assert lookups == []
-    assert filled == collections.Counter(list(engine.plan.nodes))
+    assert filled == collections.Counter(engine.plan.nodes.values())
     for node in engine.plan.nodes.values():
         assert node.table == fresh_node_table(node, g)
     assert engine.index_audit() == []
@@ -612,6 +635,51 @@ def test_audit_flags_store_corruption(registered):
     assert engine.index_audit() == [f"store sp set bucket of 1 at {key}"]
     by_sp[key] = eid
     assert engine.index_audit() == []
+
+
+def test_audit_flags_stale_probe_index(registered):
+    engine, _ = registered
+    engine.insert_triple("Ooi", "coAuthor", "Gehrke")  # builds probe indexes
+    node, slots = next((n, s) for n in engine.plan.nodes.values() for s in n.indexes)
+    assert engine.index_audit() == []
+    stale = (999,) * node.num_vars  # a row the node's table does not hold
+    node.indexes[slots].setdefault(tuple(stale[s] for s in slots), set()).add(stale)
+    assert engine.index_audit() == [f"plan probe index mismatch at {node!r} slots {slots}"]
+
+
+def _unsorted_monomial(m, c):
+    return ((tuple(reversed(m)), c),)
+
+
+def _unsorted_terms(m, c):
+    (eid, exp), *rest = m
+    return (((eid, exp + 1), *rest), c), (m, c)
+
+
+@pytest.mark.parametrize("plant", [
+    _unsorted_monomial,
+    lambda m, c: ((tuple((eid, 0) for eid, _ in m), c),),  # exponent 0
+    _unsorted_terms,
+    lambda m, c: ((m, 0),),  # zero coefficient
+    None,  # a stale hash
+], ids=["monomial-order", "exponent", "term-order", "coefficient", "hash"])
+def test_audit_flags_noncanonical_polynomial(registered, plant):
+    engine, _ = registered
+    node, row, poly = next(
+        (n, r, p)
+        for n in engine.plan.nodes.values()
+        for r, p in n.table.items() if len(p.terms[0][0]) > 1
+    )
+    [(m, c)] = poly.terms
+    if plant is None:
+        bad = Polynomial._of(poly.terms)
+        bad._hash += 1
+    else:
+        bad = Polynomial._of(plant(m, c))
+    assert bad.edges() == poly.edges()  # the edge index stays right
+    node.table[row] = bad
+    problems = engine.index_audit()
+    assert any(p.startswith(f"plan non-canonical polynomial at {node!r} {row}") for p in problems)
 
 
 def test_audit_flags_missing_entry(registered):

@@ -34,6 +34,18 @@ def make(patterns):
 # ---------------------------------------------------------------------------
 
 
+def pair_class_counts(
+    stats: StatsCatalog, pred: str
+) -> dict[tuple[frozenset[str], frozenset[str]], int]:
+    """Exact grouping of a predicate's (s, o) pairs by their
+    characteristic-set pair; the raw statistic behind pair_count."""
+    out: dict[tuple[frozenset[str], frozenset[str]], int] = {}
+    for s, o in stats.pred_pairs.get(pred, ()):
+        k = (stats.char_set(s), stats.char_set(o))
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
 def test_statistics_against_grouping_oracle(academia):
     g = academia
     stats = compute_statistics(g)
@@ -66,7 +78,7 @@ def test_statistics_against_grouping_oracle(academia):
 
     # pair counts against the exact grouped statistic
     for pred in by_pred:
-        classes = stats.pair_class_counts(pred)
+        classes = pair_class_counts(stats, pred)
         assert sum(classes.values()) == len(stats.pred_pairs[pred])
         for (s_cs, o_cs), n in classes.items():
             assert stats.pair_count(s_cs, o_cs, pred) >= n

@@ -4,19 +4,22 @@ deletion pruning, and projections."""
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgprov.provenance import (
-    Polynomial,
-    mono_degree,
-    mono_edges,
-    mono_mul,
-    poly_add,
-    poly_mul,
-)
+from kgprov.provenance import Polynomial, mono_degree, mono_edges, mono_mul
+
+
+def poly_add(*polys: Polynomial) -> Polynomial:
+    return reduce(lambda a, b: a + b, polys, Polynomial.zero())
+
+
+def poly_mul(*polys: Polynomial) -> Polynomial:
+    return reduce(lambda a, b: a * b, polys, Polynomial.one())
+
 
 monomials = st.lists(
     st.tuples(st.integers(1, 12), st.integers(1, 3)), min_size=0, max_size=3
@@ -172,6 +175,81 @@ def test_collaboration_deletion_outcomes():
     assert ANSWER.survives_deletion(14)
     assert not ANSWER.survives_deletion(2)
     assert ANSWER.prune(2) == Polynomial.zero()
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against a dict-based reference model
+# ---------------------------------------------------------------------------
+
+# A reference polynomial is {monomial: coefficient}; a monomial is a
+# {edge id: exponent} dict frozen as a sorted tuple of pairs.
+
+
+def ref_canonical(ref: dict) -> tuple:
+    return tuple(sorted((m, c) for m, c in ref.items() if c))
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return out
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            factors = dict(m1)
+            for eid, exp in m2:
+                factors[eid] = factors.get(eid, 0) + exp
+            m = tuple(sorted(factors.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def ref_prune(a: dict, eid: int) -> dict:
+    return {m: c for m, c in a.items() if eid not in dict(m)}
+
+
+def ref_edges(a: dict) -> set:
+    return {eid for m in a for eid, _ in m}
+
+
+def assert_matches(poly: Polynomial, ref: dict):
+    assert poly.terms == ref_canonical(ref)
+    assert hash(poly) == hash(poly.terms)
+
+
+# few edge ids, so that one-term operands often share one (e3*e3 = e3^2)
+ref_monomials = st.dictionaries(
+    st.integers(1, 4), st.integers(1, 3), min_size=1, max_size=3
+).map(lambda f: tuple(sorted(f.items())))
+ref_one_term = st.tuples(ref_monomials, st.integers(1, 5)).map(lambda mc: {mc[0]: mc[1]})
+ref_polys = st.one_of(
+    ref_one_term,
+    st.dictionaries(ref_monomials, st.integers(1, 5), max_size=4),
+)
+
+
+def from_ref(ref: dict) -> Polynomial:
+    return poly_add(*(Polynomial.monomial(m, c) for m, c in ref.items()))
+
+
+@given(ref_polys, ref_polys, st.integers(1, 6))
+@example({((3, 1),): 1}, {((3, 1),): 1}, 3)  # e3*e3 = e3^2, e3+e3 = 2*e3
+@example({((1, 1), (3, 2)): 4}, {((2, 1),): 3}, 5)  # prune of an absent edge
+def test_fast_paths_match_reference(a, b, eid):
+    pa, pb = from_ref(a), from_ref(b)
+    assert_matches(pa, a)
+    assert_matches(pa + pb, ref_add(a, b))
+    assert_matches(pa * pb, ref_mul(a, b))
+    assert_matches(pa.prune(eid), ref_prune(a, eid))
+    assert pa.edges() == ref_edges(a)
+    if eid not in ref_edges(a):
+        assert pa.prune(eid) is pa
+    assert_matches(Polynomial.edge(eid), {((eid, 1),): 1})
+    assert_matches(Polynomial.edge(eid) * Polynomial.edge(eid), {((eid, 2),): 1})
 
 
 def test_randomized_law_sweep():
