@@ -32,10 +32,7 @@ from .evaluate import (
 from .planner import (
     GlobalPlan,
     JoinProbe,
-    LocalPlan,
     PlanNode,
-    RootRef,
-    build_and_or_tree,
     compute_statistics,
     join_probe,
     merge_into_global,
@@ -236,11 +233,10 @@ class Engine:
         anchors = {}
         for sq in subqueries:
             for ci, comp in enumerate(sq.components):
-                local = select_best_plan(build_and_or_tree(comp), stats)
-                root = merge_into_global(
-                    self.plan, local, stats, RootRef(qid, sq.removed, ci, ())
+                root, varmap = merge_into_global(
+                    self.plan, select_best_plan(comp, stats), stats
                 )
-                varmap = root.roots[-1].var_to_slot()
+                root.roots += 1
                 roots[(sq.removed, ci)] = root
                 varmaps[(sq.removed, ci)] = varmap
                 anchors[(sq.removed, ci)] = _anchors(sq, ci, varmap)
@@ -249,10 +245,7 @@ class Engine:
         # component always exists (remove a leaf of a spanning tree of
         # the patterns); a single-pattern query is its own leaf
         k = next((sq.removed for sq in subqueries if len(sq.components) == 1), 0)
-        pk = q.patterns[k]
-        single = frozenset((k,))
-        leaf = merge_into_global(self.plan, LocalPlan([pk], single, {single: None}), stats)
-        leaf_vm = canonicalize([pk]).varmap
+        leaf, leaf_vm = merge_into_global(self.plan, [q.patterns[k]], stats)
         materialize_plan(self.plan, self.graph)
         # join rows hold the distinct projected variables, so the join
         # itself sums the derivations of each answer
@@ -427,6 +420,3 @@ class Engine:
                             result, bindings, poly,
                         ))
         return sorted(out, key=lambda a: a.key)
-
-    def annotations_at(self, node: int) -> list[Annotation]:
-        return [a for a in self.all_annotations() if a.node == node]

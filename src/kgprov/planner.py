@@ -1,26 +1,23 @@
 """Join planning for standing-query subqueries.
 
-Each subquery component gets an AND-OR tree enumerating every derivation
-through binary joins; a greedy bottom-up pass scores intermediate
-expressions with characteristic-pair statistics and picks one local
-plan, and local plans are merged into a single shared global DAG so an
-expression common to several subqueries is materialized once.
+Each subquery component gets one greedy left-deep join order, scored
+with characteristic-pair statistics: it starts from the cheapest pair
+of patterns and adds the cheapest connected pattern at each step.  The
+order's prefixes are merged into a single global DAG shared by
+canonical form, so an expression common to several subqueries is
+materialized once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .provenance import Polynomial, ProvTable
-from .query import CanonicalKey, TriplePattern, Var, canonicalize
+from .query import CanonicalForm, CanonicalKey, TriplePattern, Var, canonicalize
 from .store import KnowledgeGraph
-
-# Components larger than this get a cheap left-deep tree instead of the
-# exhaustive derivation enumeration (which is exponential in size).
-PLAN_SIZE_CAP = 9
-
 
 # --------------------------------------------------------------------------
 # Statistics
@@ -163,170 +160,55 @@ def estimate_cardinality(
 
 
 # --------------------------------------------------------------------------
-# AND-OR trees and local plan selection
+# Join order selection
 # --------------------------------------------------------------------------
 
-Subset = frozenset[int]
-Split = tuple[Subset, Subset]
+
+def _by_ordinal(patterns: Iterable[TriplePattern]) -> list[TriplePattern]:
+    return sorted(patterns, key=lambda p: p.ordinal)
 
 
-@dataclass
-class AndOrTree:
-    """OR nodes are connected pattern subsets (keyed by ordinal set);
-    each subset's splits are its AND children: unordered binary
-    partitions into connected, variable-sharing halves."""
+def select_best_plan(
+    patterns: Sequence[TriplePattern], stats: StatsCatalog
+) -> list[TriplePattern]:
+    """Greedy left-deep join order of a connected component.
 
-    patterns: list[TriplePattern]
-    splits: dict[Subset, list[Split]]
-    root: Subset
-    exhaustive: bool = True
+    The first two patterns are the cheapest pair that shares a variable,
+    lower ordinal first; each later one is the cheapest pattern that
+    shares a variable with the prefix before it.  A candidate ranks by
+    (estimate of the grown prefix, its canonical key, the canonical key
+    of the added pattern); an exact tie goes to the lowest ordinals.
+    Takes O(n^2) estimates and is deterministic given (patterns, stats).
+    """
+    pats = _by_ordinal(patterns)
+    if len(pats) < 2:
+        return pats
+    leaf_keys = {p.ordinal: canonicalize([p]).key for p in pats}
 
-    def or_nodes(self) -> list[Subset]:
-        return list(self.splits)
-
-
-def build_and_or_tree(patterns: Sequence[TriplePattern]) -> AndOrTree:
-    """Enumerate every connected subset and every binary derivation.
-
-    Components above PLAN_SIZE_CAP fall back to a single left-deep
-    chain (flagged `exhaustive=False`)."""
-    pats = sorted(patterns, key=lambda p: p.ordinal)
-    root = frozenset(p.ordinal for p in pats)
-    varsets = {p.ordinal: p.variables() for p in pats}
-    if len(pats) > PLAN_SIZE_CAP:
-        return _left_deep_tree(pats, varsets, root)
-
-    connected: set[Subset] = {frozenset((p.ordinal,)) for p in pats}
-    frontier = list(connected)
-    while frontier:
-        s = frontier.pop()
-        svars = set().union(*(varsets[i] for i in s))
-        for p in pats:
-            if p.ordinal in s or not (varsets[p.ordinal] & svars):
-                continue
-            grown = s | {p.ordinal}
-            if grown not in connected:
-                connected.add(grown)
-                frontier.append(grown)
-
-    splits: dict[Subset, list[Split]] = {s: [] for s in connected}
-    for s in connected:
-        if len(s) < 2:
-            continue
-        seen: set[Subset] = set()
-        for a in connected:
-            if not a < s:
-                continue
-            b = s - a
-            if b in seen or b not in connected:
-                continue
-            seen.add(a)
-            avars = set().union(*(varsets[i] for i in a))
-            bvars = set().union(*(varsets[i] for i in b))
-            if avars & bvars:
-                splits[s].append((a, b) if min(a) < min(b) else (b, a))
-        splits[s].sort(key=lambda ab: (sorted(ab[0]), sorted(ab[1])))
-    return AndOrTree(pats, splits, root)
-
-
-def _left_deep_tree(pats, varsets, root) -> AndOrTree:
-    splits: dict[Subset, list[Split]] = {
-        frozenset((p.ordinal,)): [] for p in pats
-    }
-    remaining = {p.ordinal for p in pats}
-    first = min(remaining)
-    chain = frozenset((first,))
-    remaining.discard(first)
-    chain_vars = set(varsets[first])
-    while remaining:
-        nxt = min(
-            i for i in remaining if varsets[i] & chain_vars
+    def rank(prefix: list[TriplePattern], added: TriplePattern) -> tuple:
+        grown = _by_ordinal(prefix + [added])
+        return (
+            estimate_cardinality(grown, stats),
+            canonicalize(grown).key,
+            leaf_keys[added.ordinal],
         )
-        grown = chain | {nxt}
-        splits[grown] = [(chain, frozenset((nxt,)))]
-        chain = grown
-        chain_vars |= varsets[nxt]
-        remaining.discard(nxt)
-    return AndOrTree(pats, splits, root, exhaustive=False)
 
-
-@dataclass
-class LocalPlan:
-    """One chosen derivation per expression: leaves map to None, joins
-    to their (left, right) child subsets."""
-
-    patterns: list[TriplePattern]
-    root: Subset
-    derivations: dict[Subset, Split | None]
-
-    def subset_patterns(self, s: Subset) -> list[TriplePattern]:
-        return [p for p in self.patterns if p.ordinal in s]
-
-    def nodes_top_down(self) -> list[Subset]:
-        out: list[Subset] = []
-        queue = [self.root]
-        while queue:
-            s = queue.pop(0)
-            out.append(s)
-            d = self.derivations[s]
-            if d is not None:
-                queue.extend(d)
-        return out
-
-
-def select_best_plan(tree: AndOrTree, stats: StatsCatalog) -> LocalPlan:
-    """Greedy bottom-up chain: at each expression size pick the
-    lowest-estimate OR node derivable from the previous pick, breaking
-    ties by canonical form.  Deterministic given (tree, stats)."""
-    n = len(tree.patterns)
-    if n == 1:
-        return LocalPlan(tree.patterns, tree.root, {tree.root: None})
-
-    est_cache: dict[Subset, float] = {}
-    canon_cache: dict[Subset, CanonicalKey] = {}
-
-    def est(s: Subset) -> float:
-        if s not in est_cache:
-            pats = [p for p in tree.patterns if p.ordinal in s]
-            est_cache[s] = estimate_cardinality(pats, stats)
-        return est_cache[s]
-
-    def canon(s: Subset) -> CanonicalKey:
-        if s not in canon_cache:
-            pats = [p for p in tree.patterns if p.ordinal in s]
-            canon_cache[s] = canonicalize(pats).key
-        return canon_cache[s]
-
-    by_size: dict[int, list[Subset]] = {}
-    for s in tree.splits:
-        by_size.setdefault(len(s), []).append(s)
-
-    derivations: dict[Subset, Split | None] = {}
-    head: Subset | None = None
-    for level in range(2, n + 1):
-        best: tuple | None = None
-        for s in by_size.get(level, ()):
-            for a, b in tree.splits[s]:
-                if head is not None and head not in (a, b):
-                    continue
-                sibling = b if a == head else a if b == head else None
-                if head is None:
-                    # level 2: both sides are leaves; orient by canon
-                    left, right = (a, b)
-                else:
-                    left, right = head, sibling
-                rank = (est(s), canon(s), canon(right))
-                if best is None or rank < best[0]:
-                    best = (rank, s, left, right)
-        if best is None:
-            raise RuntimeError("derivation chain dead-ended; tree incomplete")
-        _, s, left, right = best
-        if head is None:
-            derivations[left] = None
-        derivations[right] = None
-        derivations[s] = (left, right)
-        head = s
-    return LocalPlan(tree.patterns, tree.root, derivations)
+    # min keeps the first of equal ranks, so candidates go in ordinal order
+    order = list(min(
+        ((a, b) for a, b in combinations(pats, 2) if a.variables() & b.variables()),
+        key=lambda ab: rank([ab[0]], ab[1]),
+    ))
+    joined = order[0].variables() | order[1].variables()
+    rest = [p for p in pats if p not in order]
+    while rest:
+        nxt = min(
+            (p for p in rest if p.variables() & joined),
+            key=lambda p: rank(order, p),
+        )
+        order.append(nxt)
+        rest.remove(nxt)
+        joined |= nxt.variables()
+    return order
 
 
 # --------------------------------------------------------------------------
@@ -343,21 +225,6 @@ def patterns_from_key(key: CanonicalKey) -> list[TriplePattern]:
         ]
         out.append(TriplePattern(terms[0], terms[1], terms[2], ordinal=i))
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class RootRef:
-    """Ties a global-plan root back to one registered subquery component;
-    varmap sends the component's variable names to canonical indices.
-    Compared and hashed by identity: each registration makes its own."""
-
-    query_id: int
-    removed: int
-    component: int
-    varmap: tuple[tuple[str, int], ...]
-
-    def var_to_slot(self) -> dict[str, int]:
-        return dict(self.varmap)
 
 
 def tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
@@ -423,7 +290,8 @@ class PlanNode:
     # bindings over var slots 0..num_vars-1 -> provenance; the plan's
     # ProvTable group keyed by this node
     table: dict[tuple[int, ...], Polynomial] = field(default_factory=dict)
-    roots: list[RootRef] = field(default_factory=list)
+    # how many registered subquery components this node roots
+    roots: int = 0
     # join nodes: (left child's rows probing the right, right's probing
     # the left)
     probes: tuple[JoinProbe, JoinProbe] | None = None
@@ -497,31 +365,24 @@ class GlobalPlan:
 
 
 def merge_into_global(
-    plan: GlobalPlan,
-    local: LocalPlan,
-    stats: StatsCatalog,
-    root_ref: RootRef | None = None,
-) -> PlanNode:
-    """Install a local plan, reusing any node whose canonical form is
-    already present (its existing derivation wins; descent stops there).
-    Each new node is queued on `plan.pending` after its children.
-    Returns the root node; `root_ref`, if given, is registered on it.
-    """
+    plan: GlobalPlan, order: Sequence[TriplePattern], stats: StatsCatalog
+) -> tuple[PlanNode, dict[str, int]]:
+    """Install the left-deep chain of `order`'s prefixes, each joining
+    the prefix before it with the leaf of its last pattern.  The longest
+    prefix whose canonical form is already present is reused with its
+    existing derivation; above it, each missing leaf is created before
+    the prefix that joins it, and every new node is queued on
+    `plan.pending`.  Returns the root node and the component's variable
+    -> slot map."""
 
-    def add(subset: Subset) -> tuple[CanonicalKey, dict[str, int]]:
-        pats = local.subset_patterns(subset)
-        cf = canonicalize(pats)
-        if cf.key in plan.nodes:
-            return cf.key, cf.varmap
-        deriv = local.derivations[subset]
+    def create(cf: CanonicalForm, pats: list[TriplePattern], sides) -> None:
         num_vars = len(set(cf.varmap.values()))
         children = probes = None
-        if deriv is not None:
-            lkey, lvm = add(deriv[0])
-            rkey, rvm = add(deriv[1])
-            lmap = {slot: cf.varmap[name] for name, slot in lvm.items()}
-            rmap = {slot: cf.varmap[name] for name, slot in rvm.items()}
-            children = ((lkey, lmap), (rkey, rmap))
+        if sides is not None:
+            left, right = sides
+            lmap = {slot: cf.varmap[name] for name, slot in left.varmap.items()}
+            rmap = {slot: cf.varmap[name] for name, slot in right.varmap.items()}
+            children = ((left.key, lmap), (right.key, rmap))
             probes = (join_probe(lmap, rmap, num_vars), join_probe(rmap, lmap, num_vars))
         node = PlanNode(
             key=cf.key,
@@ -539,19 +400,25 @@ def merge_into_global(
         plan.pending.append(node)
         for pred in node.predicates:
             plan.pred_index.setdefault(pred, set()).add(cf.key)
-        return cf.key, cf.varmap
 
-    root_key, root_varmap = add(local.root)
-    root = plan.nodes[root_key]
-    if root_ref is not None:
-        ref = RootRef(
-            root_ref.query_id,
-            root_ref.removed,
-            root_ref.component,
-            tuple(sorted(root_varmap.items())),
-        )
-        root.roots.append(ref)
-    return root
+    n = len(order)
+    forms: dict[int, CanonicalForm] = {}  # prefix length -> its form
+    present = 0
+    for size in range(n, 0, -1):
+        forms[size] = canonicalize(_by_ordinal(order[:size]))
+        if forms[size].key in plan.nodes:
+            present = size
+            break
+    for size in range(present + 1, n + 1):
+        sides = None
+        if size > 1:
+            added = [order[size - 1]]
+            leaf = canonicalize(added)
+            if leaf.key not in plan.nodes:
+                create(leaf, added, None)
+            sides = (forms[size - 1], leaf)
+        create(forms[size], _by_ordinal(order[:size]), sides)
+    return plan.nodes[forms[n].key], forms[n].varmap
 
 
 def coverage(plan: GlobalPlan) -> float | None:
@@ -576,7 +443,7 @@ def plan_dump(plan: GlobalPlan) -> list[dict]:
                     plan.nodes[ck].label() for ck, _ in (node.children or ())
                 ],
                 "rows": len(node.table),
-                "roots": len(node.roots),
+                "roots": node.roots,
             }
         )
     return out

@@ -294,9 +294,6 @@ class CanonicalForm:
     varmap: dict[str, int] = field(compare=False, hash=False, default_factory=dict)
     exact: bool = True
 
-    def canonical_vars(self) -> list[int]:
-        return sorted(set(self.varmap.values()))
-
 
 def _render(order: list[TriplePattern]) -> tuple[CanonicalKey, dict[str, int]]:
     varmap: dict[str, int] = {}

@@ -176,9 +176,6 @@ class KnowledgeGraph:
     ) -> int:
         return len(self.lookup_ids(s, p, o))
 
-    def has_edge_between(self, s: int, o: int) -> bool:
-        return (s, o) in self._by_so
-
     # --- consistency ---
 
     def audit(self) -> list[str]:

@@ -37,16 +37,6 @@ class Subquery:
     subject_comp: int | None
     object_comp: int | None
 
-    @property
-    def free_endpoint_vars(self) -> list[str]:
-        out = []
-        if isinstance(self.removed_pattern.subject, Var) and self.subject_comp is None:
-            out.append(self.removed_pattern.subject.name)
-        t = self.removed_pattern.object
-        if isinstance(t, Var) and self.object_comp is None and t.name not in out:
-            out.append(t.name)
-        return out
-
 
 def generate_subqueries(q: QueryGraph) -> list[Subquery]:
     """One subquery per removed ordinal; requires n >= 2 and variable

@@ -99,3 +99,8 @@ def named_answers(answers, g: KnowledgeGraph):
         tuple(g.node_name(v) for v in row): poly.to_text()
         for row, poly in answers.items()
     }
+
+
+def has_edge_between(g: KnowledgeGraph, s: int, o: int) -> bool:
+    """Some live edge runs from s to o, whatever its predicate."""
+    return bool(g.lookup_ids(s, None, o))

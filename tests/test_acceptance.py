@@ -18,8 +18,6 @@ import pytest
 from kgprov.maintenance import Engine
 from kgprov.planner import (
     GlobalPlan,
-    RootRef,
-    build_and_or_tree,
     compute_statistics,
     merge_into_global,
     select_best_plan,
@@ -250,15 +248,14 @@ def test_06_global_plan_shares_canonical_subexpressions():
     plan = GlobalPlan()
     total_local_nodes = 0
     total_subqueries = 0
-    for qid, q in enumerate(queries, start=1):
+    for q in queries:
         for sq in generate_subqueries(q):
             total_subqueries += 1
-            for ci, comp in enumerate(sq.components):
-                local = select_best_plan(build_and_or_tree(comp), stats)
-                total_local_nodes += len(local.nodes_top_down())
-                merge_into_global(
-                    plan, local, stats, RootRef(qid, sq.removed, ci, ())
-                )
+            for comp in sq.components:
+                order = select_best_plan(comp, stats)
+                # n leaves and the n - 1 joins of the left-deep chain
+                total_local_nodes += 2 * len(order) - 1
+                merge_into_global(plan, order, stats)
 
     assert total_subqueries >= 50
     # overlap exists, so the shared DAG is strictly smaller than the sum

@@ -16,8 +16,6 @@ from kgprov.evaluate import (
 )
 from kgprov.planner import (
     GlobalPlan,
-    RootRef,
-    build_and_or_tree,
     compute_statistics,
     merge_into_global,
     select_best_plan,
@@ -113,19 +111,19 @@ def test_projection_merges_derivations(academia):
 def build_plan(g, query_list):
     stats = compute_statistics(g)
     plan = GlobalPlan()
-    locals_ = []
-    for qid, q in enumerate(query_list, start=1):
-        local = select_best_plan(build_and_or_tree(q.patterns), stats)
-        locals_.append(local)
-        merge_into_global(plan, local, stats, RootRef(qid, 0, 0, ()))
-    return plan, locals_
+    orders = []
+    for q in query_list:
+        order = select_best_plan(q.patterns, stats)
+        orders.append(order)
+        merge_into_global(plan, order, stats)
+    return plan, orders
 
 
-def rebuild_reference(g, locals_):
+def rebuild_reference(g, orders):
     stats = compute_statistics(g)
     plan = GlobalPlan()
-    for local in locals_:
-        merge_into_global(plan, local, stats)
+    for order in orders:
+        merge_into_global(plan, order, stats)
     materialize_plan(plan, g)
     return plan
 
@@ -166,7 +164,7 @@ def test_edge_rows_cover_every_table_row(academia, running_query):
 
 def test_delta_insert_matches_rematerialization(academia, running_query):
     g = academia
-    plan, locals_ = build_plan(g, [running_query])
+    plan, orders = build_plan(g, [running_query])
     materialize_plan(plan, g)
     updates = [
         ("Ooi", "coAuthor", "Gehrke"),
@@ -176,18 +174,18 @@ def test_delta_insert_matches_rematerialization(academia, running_query):
     for s, p, o in updates:
         eid = g.insert_triple(s, p, o)
         delta_insert(plan, g, g.edges[eid])
-        ref = rebuild_reference(g, locals_)
+        ref = rebuild_reference(g, orders)
         assert node_tables(plan) == node_tables(ref)
 
 
 def test_delta_delete_matches_rematerialization(academia, running_query):
     g = academia
-    plan, locals_ = build_plan(g, [running_query])
+    plan, orders = build_plan(g, [running_query])
     materialize_plan(plan, g)
     for eid in (14, 5, 2, 17):
         g.delete_edge(eid)
         delta_delete(plan, eid)
-        ref = rebuild_reference(g, locals_)
+        ref = rebuild_reference(g, orders)
         assert node_tables(plan) == node_tables(ref)
 
 
@@ -197,7 +195,7 @@ def test_randomized_delta_stream_stays_consistent():
         g = random_graph(rng, 10, 3, 40)
         queries = [random_query(g, rng, rng.randrange(2, 4)) for _ in range(2)]
         try:
-            plan, locals_ = build_plan(g, queries)
+            plan, orders = build_plan(g, queries)
         except Exception:
             continue
         materialize_plan(plan, g)
@@ -213,5 +211,5 @@ def test_randomized_delta_stream_stays_consistent():
                     rng.choice(node_names), rng.choice(preds), rng.choice(node_names)
                 )
                 delta_insert(plan, g, g.edges[eid])
-        ref = rebuild_reference(g, locals_)
+        ref = rebuild_reference(g, orders)
         assert node_tables(plan) == node_tables(ref)

@@ -1,5 +1,5 @@
-"""Statistics, cardinality estimates, AND-OR enumeration, greedy plan
-selection, and global plan sharing."""
+"""Statistics, cardinality estimates, greedy join order selection, and
+global plan sharing."""
 
 from __future__ import annotations
 
@@ -7,11 +7,8 @@ import random
 from itertools import combinations
 
 from kgprov.planner import (
-    AndOrTree,
     GlobalPlan,
-    RootRef,
     StatsCatalog,
-    build_and_or_tree,
     compute_statistics,
     coverage,
     estimate_cardinality,
@@ -134,85 +131,7 @@ def test_cycle_closing_selectivity(academia):
 
 
 # ---------------------------------------------------------------------------
-# AND-OR trees
-# ---------------------------------------------------------------------------
-
-
-def connected_subsets_brute(patterns):
-    """All variable-connected pattern subsets, by exhaustive check."""
-    out = set()
-    n = len(patterns)
-    for r in range(1, n + 1):
-        for combo in combinations(patterns, r):
-            reached = {combo[0].ordinal}
-            changed = True
-            while changed:
-                changed = False
-                for p in combo:
-                    if p.ordinal in reached:
-                        continue
-                    pv = p.variables()
-                    linked = any(
-                        q.variables() & pv
-                        for q in combo
-                        if q.ordinal in reached
-                    )
-                    if linked:
-                        reached.add(p.ordinal)
-                        changed = True
-            if len(reached) == r:
-                out.add(frozenset(p.ordinal for p in combo))
-    return out
-
-
-def test_or_nodes_are_exactly_the_connected_subsets():
-    star = make(
-        [
-            (Var("x"), "a", Var("y")),
-            (Var("x"), "b", Var("z")),
-            (Var("x"), "c", Var("w")),
-            (Var("x"), "d", Var("v")),
-        ]
-    )
-    tree = build_and_or_tree(star)
-    assert tree.exhaustive
-    assert set(tree.or_nodes()) == connected_subsets_brute(star)
-    # a 4-star is fully connected: every subset appears
-    assert len(tree.or_nodes()) == 2**4 - 1
-
-
-def test_chain_splits():
-    chain = make(
-        [
-            (Var("x"), "a", Var("y")),
-            (Var("y"), "b", Var("z")),
-            (Var("z"), "c", Var("w")),
-        ]
-    )
-    tree = build_and_or_tree(chain)
-    assert set(tree.or_nodes()) == connected_subsets_brute(chain)
-    # the root of a 3-chain has exactly two connected binary splits
-    root_splits = tree.splits[tree.root]
-    assert sorted(
-        (sorted(a), sorted(b)) for a, b in root_splits
-    ) == [([0], [1, 2]), ([0, 1], [2])]
-
-
-def test_oversized_query_falls_back_to_left_deep():
-    chain = make(
-        [(Var(f"x{i}"), f"p{i}", Var(f"x{i + 1}")) for i in range(10)]
-    )
-    tree = build_and_or_tree(chain)
-    assert not tree.exhaustive
-    plan = select_best_plan(tree, StatsCatalog(KnowledgeGraph()))
-    # left-deep: every join has a single-pattern right child
-    for subset, d in plan.derivations.items():
-        if d is not None:
-            assert len(d[1]) == 1
-
-
-# ---------------------------------------------------------------------------
-# Plan selection
+# Join order selection
 # ---------------------------------------------------------------------------
 
 
@@ -227,6 +146,111 @@ def stats_with_counts(counts):
     return StatsCatalog(g)
 
 
+def rank(prefix, added, stats):
+    """The planner's rank of growing `prefix` by `added`."""
+    grown = sorted(prefix + [added], key=lambda p: p.ordinal)
+    return (
+        estimate_cardinality(grown, stats),
+        canonicalize(grown).key,
+        canonicalize([added]).key,
+    )
+
+
+def shares_var(prefix, p):
+    return bool(set().union(*(q.variables() for q in prefix)) & p.variables())
+
+
+def expected_order(pats, stats):
+    """Each step's winner by exhaustive scan: the minimum (rank,
+    ordinals) over every variable-sharing pair, then over every pattern
+    that shares a variable with the prefix chosen so far."""
+    pats = sorted(pats, key=lambda p: p.ordinal)
+    pairs = [
+        (rank([a], b, stats), a.ordinal, b.ordinal, a, b)
+        for a in pats for b in pats
+        if a.ordinal < b.ordinal and a.variables() & b.variables()
+    ]
+    *_, a, b = min(pairs, key=lambda c: c[:3])
+    order = [a, b]
+    while len(order) < len(pats):
+        cands = [
+            (rank(order, p, stats), p.ordinal, p)
+            for p in pats
+            if p not in order and shares_var(order, p)
+        ]
+        order.append(min(cands, key=lambda c: c[:2])[2])
+    return order
+
+
+def random_component(rng, n, preds):
+    """A variable-connected component of n patterns: each new pattern
+    touches a variable already used (sometimes twice, closing a cycle)."""
+    used = ["v0"]
+    out = []
+    for i in range(n):
+        anchor = Var(rng.choice(used))
+        if rng.random() < 0.25 and len(used) > 1:
+            other = Var(rng.choice(used))
+        else:
+            other = Var(f"v{len(used)}")
+            used.append(other.name)
+        s, o = (anchor, other) if rng.random() < 0.5 else (other, anchor)
+        out.append(TriplePattern(s, rng.choice(preds), o, ordinal=i))
+    return out
+
+
+def test_order_is_the_greedy_minimum_rank_chain(academia):
+    stats = compute_statistics(academia)
+    preds = ["hadAdvisor", "worksIn", "coAuthor", "hasDegree"]
+    rng = random.Random(8)
+    for _ in range(150):
+        pats = random_component(rng, rng.randrange(2, 8), preds)
+        order = select_best_plan(pats, stats)
+        assert order == expected_order(pats, stats)
+        # the input's order does not matter
+        shuffled = list(pats)
+        rng.shuffle(shuffled)
+        assert select_best_plan(shuffled, stats) == order
+
+
+def test_exact_tie_goes_to_lowest_ordinals():
+    # the two p5 patterns, like the two p0 ones, are isomorphic, so the
+    # four mixed pairs {0,1} {0,2} {3,1} {3,2} rank exactly alike
+    pats = make(
+        [
+            (Var("a"), "p5", Var("b")),
+            (Var("c"), "p0", Var("a")),
+            (Var("d"), "p0", Var("a")),
+            (Var("a"), "p5", Var("e")),
+        ]
+    )
+    stats = stats_with_counts({"p5": 3, "p0": 5})
+    ranks = {(i, j): rank([pats[i]], pats[j], stats) for i, j in combinations(range(4), 2)}
+    best = min(ranks.values())
+    tied = sorted(ij for ij, r in ranks.items() if r == best)
+    assert len(tied) > 1
+    order = select_best_plan(pats, stats)
+    assert [p.ordinal for p in order[:2]] == list(tied[0])
+    assert select_best_plan(pats[::-1], stats) == order
+    assert order == expected_order(pats, stats)
+
+
+def test_long_chain_is_planned_whole():
+    chain = make(
+        [(Var(f"x{i}"), f"p{i}", Var(f"x{i + 1}")) for i in range(12)]
+    )
+    stats = StatsCatalog(KnowledgeGraph())
+    order = select_best_plan(chain, stats)
+    assert sorted(p.ordinal for p in order) == list(range(12))
+    for i in range(1, len(order)):
+        assert shares_var(order[:i], order[i])
+    plan = GlobalPlan()
+    root, varmap = merge_into_global(plan, order, stats)
+    assert len(plan.nodes) == 2 * 12 - 1
+    assert set(varmap) == {f"x{i}" for i in range(13)}
+    assert root.key == canonicalize(chain).key
+
+
 def test_greedy_selection_prefers_cheap_pairs(academia):
     stats = compute_statistics(academia)
     pats = make(
@@ -236,15 +260,12 @@ def test_greedy_selection_prefers_cheap_pairs(academia):
             (Var("x"), "hasDegree", Var("d")),
         ]
     )
-    plan = select_best_plan(build_and_or_tree(pats), stats)
-    assert plan.root == frozenset({0, 1, 2})
-    # the chain is grown level by level: three leaves, one 2-subset, root
-    sizes = sorted(len(s) for s in plan.nodes_top_down())
-    assert sizes == [1, 1, 1, 2, 3]
-    # the chosen pair is the cheapest connected 2-subset: the degree +
+    order = select_best_plan(pats, stats)
+    assert sorted(p.ordinal for p in order) == [0, 1, 2]
+    # the chosen pair is the cheapest connected pair: the degree +
     # advisor subject star (2 estimated rows) beats the advisor ->
     # workplace chain (4 estimated rows)
-    assert frozenset({0, 2}) in plan.derivations
+    assert [p.ordinal for p in order[:2]] == [0, 2]
 
 
 def test_selection_deterministic(academia):
@@ -256,10 +277,9 @@ def test_selection_deterministic(academia):
             (Var("y"), "worksIn", Var("o")),
         ]
     )
-    tree = build_and_or_tree(pats)
-    first = select_best_plan(tree, stats).derivations
+    first = select_best_plan(pats, stats)
     for _ in range(5):
-        assert select_best_plan(tree, stats).derivations == first
+        assert select_best_plan(pats, stats) == first
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +287,12 @@ def test_selection_deterministic(academia):
 # ---------------------------------------------------------------------------
 
 
-def ref(qid, removed=0, comp=0):
-    return RootRef(qid, removed, comp, ())
+def install(plan, pats, stats):
+    """Plan a component and count the registration on its root, as
+    `Engine.register_query` does."""
+    root, varmap = merge_into_global(plan, select_best_plan(pats, stats), stats)
+    root.roots += 1
+    return root, varmap
 
 
 def test_merge_shares_canonical_subexpressions(academia):
@@ -285,38 +309,34 @@ def test_merge_shares_canonical_subexpressions(academia):
             (Var("s"), "hasDegree", Var("d")),
         ]
     )
-    la = select_best_plan(build_and_or_tree(a), stats)
-    merge_into_global(plan, la, stats, ref(1))
+    install(plan, a, stats)
     n_after_first = len(plan.nodes)
     assert n_after_first == 3  # two leaves + the join
-    lb = select_best_plan(build_and_or_tree(b), stats)
-    merge_into_global(plan, lb, stats, ref(2))
+    b_root, _ = install(plan, b, stats)
 
     # only the workplace leaf and b's root are new
     assert len(plan.nodes) == n_after_first + 2
     shared = plan.nodes[canonicalize(a).key]
-    assert {r.query_id for r in shared.roots} == {1}
-    assert any(
-        shared.key in {c[0] for c in (node.children or ())}
-        for node in plan.nodes.values()
-    )
+    assert shared.roots == 1
+    assert b_root.roots == 1
+    assert shared.key in {c[0] for c in b_root.children}
 
 
 def test_merge_is_idempotent_per_canonical_form(academia):
     stats = compute_statistics(academia)
     plan = GlobalPlan()
     a = make([(Var("x"), "hadAdvisor", Var("y")), (Var("y"), "worksIn", Var("o"))])
-    la = select_best_plan(build_and_or_tree(a), stats)
-    merge_into_global(plan, la, stats, ref(1))
+    first, a_vm = install(plan, a, stats)
     n = len(plan.nodes)
     renamed = make(
         [(Var("u"), "hadAdvisor", Var("v")), (Var("v"), "worksIn", Var("w"))]
     )
-    lb = select_best_plan(build_and_or_tree(renamed), stats)
-    merge_into_global(plan, lb, stats, ref(2))
+    root, varmap = install(plan, renamed, stats)
     assert len(plan.nodes) == n  # same canonical form: nothing new
-    root = plan.nodes[canonicalize(a).key]
-    assert {r.query_id for r in root.roots} == {1, 2}
+    assert root is first is plan.nodes[canonicalize(a).key]
+    assert root.roots == 2
+    # both varmaps send corresponding variables to the same slot
+    assert [varmap[v] for v in "uvw"] == [a_vm[v] for v in "xyo"]
 
 
 def test_no_duplicate_canonical_keys_and_topo_order(academia):
@@ -332,8 +352,7 @@ def test_no_duplicate_canonical_keys_and_topo_order(academia):
                 for i in range(k)
             ]
         )
-        local = select_best_plan(build_and_or_tree(pats), stats)
-        merge_into_global(plan, local, stats, ref(qid))
+        install(plan, pats, stats)
     keys = [n.key for n in plan.nodes.values()]
     assert len(keys) == len(set(keys))
     order = plan.topo_order()
@@ -356,9 +375,7 @@ def test_coverage_arithmetic(academia):
     plan = GlobalPlan()
     assert coverage(plan) is None
     a = make([(Var("x"), "hadAdvisor", Var("y")), (Var("y"), "worksIn", Var("o"))])
-    merge_into_global(
-        plan, select_best_plan(build_and_or_tree(a), stats), stats, ref(1)
-    )
+    install(plan, a, stats)
     non_leaf = sum(1 for n in plan.nodes.values() if not n.is_leaf)
     uniq_preds = len({p for n in plan.nodes.values() for p in n.predicates})
     assert coverage(plan) == non_leaf / uniq_preds

@@ -8,7 +8,7 @@ import pytest
 
 from kgprov.store import KnowledgeGraph, LoadError, load_ntriples
 
-from conftest import FIXTURE
+from conftest import FIXTURE, has_edge_between
 from kgprov.store import load_ntriples_file
 
 
@@ -121,7 +121,7 @@ def test_access_paths_follow_interleaved_updates():
                     assert g.count(s, p, o) == len(want)
         for s in nodes:
             for o in nodes:
-                assert g.has_edge_between(s, o) == any(
+                assert has_edge_between(g, s, o) == any(
                     e.subject == s and e.object == o for e in g.edges.values()
                 )
         assert g.audit() == []
@@ -143,8 +143,8 @@ def test_lookup_results_cannot_change_the_store():
 
 def test_has_edge_between(academia):
     g = academia
-    assert g.has_edge_between(g.node("Ooi"), g.node("Ramakrishnan"))
-    assert not g.has_edge_between(g.node("Ooi"), g.node("IBM"))
+    assert has_edge_between(g, g.node("Ooi"), g.node("Ramakrishnan"))
+    assert not has_edge_between(g, g.node("Ooi"), g.node("IBM"))
 
 
 # ---------------------------------------------------------------------------

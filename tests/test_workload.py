@@ -22,7 +22,7 @@ from kgprov.workload import (
     run_equivalence_trials,
 )
 
-from conftest import FIXTURE, RUNNING_QUERY
+from conftest import FIXTURE, RUNNING_QUERY, has_edge_between
 
 POOL = ["hadAdvisor", "worksIn", "coAuthor", "hasDegree"]
 
@@ -71,8 +71,8 @@ def test_insertions_connect_unconnected_pairs(academia):
             assert s != o
             sid, oid = g.nodes.get(s), g.nodes.get(o)
             if sid is not None and oid is not None:
-                assert not g.has_edge_between(sid, oid)
-                assert not g.has_edge_between(oid, sid)
+                assert not has_edge_between(g, sid, oid)
+                assert not has_edge_between(g, oid, sid)
             engine.insert_triple(s, p, o)
         else:
             assert op[0] == "-id"
