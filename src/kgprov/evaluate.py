@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .planner import GlobalPlan, JoinProbe, PlanNode, slot_index
 from .provenance import Polynomial, ResultDelta
 from .query import QueryGraph, TriplePattern, Var
-from .store import Edge, KnowledgeGraph
+from .store import Edge, KnowledgeGraph, bucket_add, bucket_discard, bucket_entries
 
 
 @dataclass
@@ -218,17 +218,12 @@ def node_index(node: PlanNode, slots: tuple[int, ...]):
 
 def _index_add(node: PlanNode, row: tuple[int, ...]):
     for slots, idx in node.indexes.items():
-        idx.setdefault(tuple(row[s] for s in slots), set()).add(row)
+        bucket_add(idx, tuple(row[s] for s in slots), row)
 
 
 def _index_remove(node: PlanNode, row: tuple[int, ...]):
     for slots, idx in node.indexes.items():
-        key = tuple(row[s] for s in slots)
-        bucket = idx.get(key)
-        if bucket is not None:
-            bucket.discard(row)
-            if not bucket:
-                del idx[key]
+        bucket_discard(idx, tuple(row[s] for s in slots), row)
 
 
 # --------------------------------------------------------------------------
@@ -268,13 +263,13 @@ def _probe(
     if other_rows is None:
         idx, other_rows = node_index(other, probe.o_slots), other.table
     else:
-        idx = {}
-        o_key = probe.o_key
-        for orow in other_rows:
-            idx.setdefault(o_key(orow), []).append(orow)
+        idx = slot_index(other_rows, probe.o_slots)
     d_key, parent_row = probe.d_key, probe.parent_row
     for drow, dpoly in delta.items():
-        for orow in idx.get(d_key(drow), ()):
+        bucket = idx.get(d_key(drow))
+        if bucket is None:
+            continue
+        for orow in bucket_entries(bucket):
             key = parent_row(drow + orow)
             poly = dpoly * other_rows[orow]
             out[key] = out[key] + poly if key in out else poly

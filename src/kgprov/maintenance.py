@@ -195,8 +195,9 @@ class Engine:
         self._by_pred: dict[str, list[RegisteredQuery]] = {}
 
     @property
-    def edge_to_result(self) -> dict[int, set[tuple[int, Row]]]:
-        """Edge id -> (query id, answer row) pairs whose polynomial uses it."""
+    def edge_to_result(self) -> dict:
+        """Edge id -> the (query id, answer row) pairs whose polynomial
+        uses it, one pair bare and more in a set."""
         return self.answers.by_edge
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .provenance import Polynomial, ProvTable
 from .query import CanonicalForm, CanonicalKey, TriplePattern, Var, canonicalize
-from .store import KnowledgeGraph
+from .store import KnowledgeGraph, bucket_add, bucket_faults
 
 # --------------------------------------------------------------------------
 # Statistics
@@ -244,7 +244,6 @@ class JoinProbe:
 
     o_slots: tuple[int, ...]  # the other child's shared slots (its index key)
     d_key: Callable[[tuple], tuple]
-    o_key: Callable[[tuple], tuple]
     parent_row: Callable[[tuple], tuple]
 
 
@@ -260,18 +259,16 @@ def join_probe(dmap: dict[int, int], omap: dict[int, int], num_vars: int) -> Joi
     gather = tuple(
         d_of[ps] if ps in d_of else width + o_of[ps] for ps in range(num_vars)
     )
-    return JoinProbe(
-        o_slots, tuple_getter(d_slots), tuple_getter(o_slots), tuple_getter(gather)
-    )
+    return JoinProbe(o_slots, tuple_getter(d_slots), tuple_getter(gather))
 
 
-def slot_index(
-    rows: Iterable[tuple[int, ...]], slots: tuple[int, ...]
-) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
-    """Hash index of rows on a slot subset: key tuple -> rows."""
-    idx: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+def slot_index(rows: Iterable[tuple[int, ...]], slots: tuple[int, ...]) -> dict:
+    """Hash index of rows on a slot subset: key tuple -> the
+    bucket of rows with that key (one row bare, more in a set)."""
+    idx: dict = {}
+    key_of = tuple_getter(slots)
     for row in rows:
-        idx.setdefault(tuple(row[s] for s in slots), set()).add(row)
+        bucket_add(idx, key_of(row), row)
     return idx
 
 
@@ -295,10 +292,8 @@ class PlanNode:
     # join nodes: (left child's rows probing the right, right's probing
     # the left)
     probes: tuple[JoinProbe, JoinProbe] | None = None
-    # lazily built hash indexes: slot subset -> key tuple -> rows
-    indexes: dict[tuple[int, ...], dict[tuple[int, ...], set[tuple[int, ...]]]] = field(
-        default_factory=dict
-    )
+    # lazily built hash indexes: slot subset -> `slot_index` of the table
+    indexes: dict[tuple[int, ...], dict] = field(default_factory=dict)
 
     @property
     def is_leaf(self) -> bool:
@@ -330,17 +325,28 @@ class GlobalPlan:
         self.pending: list[PlanNode] = []
 
     @property
-    def edge_rows(self) -> dict[int, set[tuple[PlanNode, tuple[int, ...]]]]:
-        """Edge id -> (node, row) pairs whose polynomial mentions it."""
+    def edge_rows(self) -> dict:
+        """Edge id -> the (node, row) pairs whose polynomial mentions it,
+        one pair bare and more in a set."""
         return self.rows.by_edge
 
     def audit(self) -> list[str]:
-        """The row table's audit, plus every join-probe index that
-        differs from one rebuilt from its node's table."""
+        """The row table's audit, plus every join-probe index bucket that
+        breaks the bucket invariant and every index that differs from one
+        rebuilt from its node's table."""
         problems = self.rows.audit()
         for node in self.nodes.values():
             for slots, idx in node.indexes.items():
-                if idx != slot_index(node.table, slots):
+                key = tuple_getter(slots)
+                want: dict = {}
+                for row in node.table:
+                    want.setdefault(key(row), set()).add(row)
+                small, mismatched = bucket_faults(idx, want)
+                problems += [
+                    f"probe set bucket of {n} at {node!r} slots {slots} key {k}"
+                    for k, n in small
+                ]
+                if mismatched:
                     problems.append(f"probe index mismatch at {node!r} slots {slots}")
         return problems
 

@@ -12,9 +12,13 @@ import re
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
+from .store import bucket_add, bucket_discard, bucket_entries, bucket_faults
+
 # A monomial is a tuple of (edge_id, exponent) pairs sorted by edge_id.
 Monomial = tuple[tuple[int, int], ...]
 Row = tuple[int, ...]
+# a ProvTable index entry: (group name, row)
+Entry = tuple[Hashable, Row]
 
 MONO_ONE: Monomial = ()
 
@@ -241,11 +245,12 @@ class ResultDelta:
 class ProvTable:
     """Rows annotated with polynomials, kept in named groups, plus an
     inverted index from each edge id to the (group, row) pairs whose
-    polynomial mentions it.  Every row is nonzero."""
+    polynomial mentions it, one pair held bare and two or more in a set
+    (the store's bucket invariant).  Every row is nonzero."""
 
     def __init__(self):
         self.groups: dict[Hashable, dict[Row, Polynomial]] = {}
-        self.by_edge: dict[int, set[tuple[Hashable, Row]]] = {}
+        self.by_edge: dict[int, Entry | set[Entry]] = {}
 
     def group(self, name: Hashable) -> dict[Row, Polynomial]:
         """The live row dict of a group, created empty on first use."""
@@ -269,11 +274,7 @@ class ProvTable:
             entry = (name, row)
             for mono, _ in poly.terms:
                 for eid, _ in mono:
-                    bucket = by_edge.get(eid)
-                    if bucket is None:
-                        by_edge[eid] = {entry}
-                    else:
-                        bucket.add(entry)
+                    bucket_add(by_edge, eid, entry)
         return fresh
 
     def prune(self, edge_id: int) -> dict[Hashable, ResultDelta]:
@@ -281,7 +282,10 @@ class ProvTable:
         under it, delete rows left at zero, and unindex what is gone."""
         report: dict[Hashable, ResultDelta] = {}
         by_edge = self.by_edge
-        for entry in by_edge.pop(edge_id, ()):
+        bucket = by_edge.pop(edge_id, None)
+        if bucket is None:
+            return report
+        for entry in bucket_entries(bucket):
             name, row = entry
             rows = self.groups[name]
             old = rows[row]
@@ -299,18 +303,14 @@ class ProvTable:
                 del rows[row]
                 delta.removed[row] = old
                 gone = (eid for mono, _ in old.terms for eid, _ in mono)
-            for eid in gone:
-                bucket = by_edge.get(eid)
-                if bucket is not None:  # None for edge_id, or seen already
-                    bucket.discard(entry)
-                    if not bucket:
-                        del by_edge[eid]
+            for eid in gone:  # edge_id itself is unindexed already
+                bucket_discard(by_edge, eid, entry)
         return report
 
     def audit(self) -> list[str]:
-        """Stored polynomials not in canonical form, and edge ids whose
-        index entry differs from one rebuilt from the rows (empty index
-        buckets count as absent)."""
+        """Stored polynomials not in canonical form, index buckets that
+        break the bucket invariant, and edge ids whose index entries
+        differ from those rebuilt from the rows."""
         problems = []
         want: dict[int, set] = {}
         for name, rows in self.groups.items():
@@ -320,12 +320,9 @@ class ProvTable:
                     problems.append(f"non-canonical polynomial at {name!r} {row}: {fault}")
                 for eid in poly.edges():
                     want.setdefault(eid, set()).add((name, row))
-        have = {eid: v for eid, v in self.by_edge.items() if v}
-        problems += [
-            f"index mismatch at e{e}"
-            for e in sorted(want.keys() | have.keys())
-            if want.get(e) != have.get(e)
-        ]
+        small, mismatched = bucket_faults(self.by_edge, want)
+        problems += [f"set bucket of {n} at e{e}" for e, n in small]
+        problems += [f"index mismatch at e{e}" for e in mismatched]
         return problems
 
 

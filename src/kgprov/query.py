@@ -1,5 +1,5 @@
 """BGP query frontend: parsing, canonicalization, and the Regular /
-MultiMap classification, which records the patterns that may bind one
+MultiMap classification, which tells whether two patterns may bind one
 edge together (the engine's delta rule handles both kinds alike).
 """
 
@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 
 _UNSUPPORTED_KEYWORDS = (
     "FILTER",
@@ -112,9 +113,8 @@ _NO_FLAGS = PredicateFlags()
 
 @dataclass(frozen=True)
 class Classification:
+    # some two patterns may bind the same edge
     multimap: bool
-    # predicate name -> ordinals of patterns that may co-bind one edge
-    shared_groups: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -422,6 +422,17 @@ def _asymmetric_path(a: Term, b: Term, patterns: list[TriplePattern], meta: Pred
     return False
 
 
+def may_share_edge(
+    a: TriplePattern, b: TriplePattern, patterns: list[TriplePattern], meta: PredicateMetadata
+) -> bool:
+    """Can two same-predicate patterns of `patterns` bind the same edge?
+    Yes unless their subjects or their objects are provably distinct."""
+    return not (
+        _provably_distinct(a.subject, b.subject, patterns, meta)
+        or _provably_distinct(a.object, b.object, patterns, meta)
+    )
+
+
 def classify_query(q: QueryGraph, meta: PredicateMetadata | None = None) -> Classification:
     """Classify as Regular or MultiMap.
 
@@ -431,25 +442,8 @@ def classify_query(q: QueryGraph, meta: PredicateMetadata | None = None) -> Clas
     they cannot bind the same edge.
     """
     meta = meta or PredicateMetadata()
-    by_pred: dict[str, list[TriplePattern]] = {}
-    for p in q.patterns:
-        if isinstance(p.predicate, str):
-            by_pred.setdefault(p.predicate, []).append(p)
-    groups: dict[str, tuple[int, ...]] = {}
-    for pred, pats in by_pred.items():
-        if len(pats) < 2:
-            continue
-        survivors: set[int] = set()
-        for i in range(len(pats)):
-            for j in range(i + 1, len(pats)):
-                ta, tb = pats[i], pats[j]
-                excluded = _provably_distinct(
-                    ta.subject, tb.subject, q.patterns, meta
-                ) or _provably_distinct(ta.object, tb.object, q.patterns, meta)
-                if not excluded:
-                    survivors.update((ta.ordinal, tb.ordinal))
-        if survivors:
-            groups[pred] = tuple(sorted(survivors))
-    if groups:
-        return Classification(True, groups)
-    return Classification(False)
+    named = [p for p in q.patterns if isinstance(p.predicate, str)]
+    return Classification(any(
+        a.predicate == b.predicate and may_share_edge(a, b, q.patterns, meta)
+        for a, b in combinations(named, 2)
+    ))

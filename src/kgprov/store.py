@@ -1,23 +1,71 @@
 """In-memory directed labeled multigraph with unique edge identifiers.
 
 Vertices and predicate labels are interned to dense integers; triples are
-indexed for every bound/wildcard access pattern.  Edge identifiers are
+indexed by subject, predicate, object, (subject, predicate) and
+(predicate, object).  A pattern that binds both endpoints filters the
+smaller of two buckets by the other endpoint.  Edge identifiers are
 assigned by a monotone counter and never reused, so provenance symbols
 stay unambiguous across deletions.
+
+Every index here and in the provenance and plan layers keeps one bucket
+invariant: a key with one entry holds it bare, a `set` holds two or
+more, and an empty bucket is no key at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Hashable, Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     subject: int
     predicate: int
     object: int
+
+
+def bucket_add(index: dict, key: Hashable, entry: Hashable) -> None:
+    """Add `entry` to the bucket at `key` (no change if present)."""
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = entry
+    elif bucket.__class__ is set:
+        bucket.add(entry)
+    elif bucket != entry:
+        index[key] = {bucket, entry}
+
+
+def bucket_discard(index: dict, key: Hashable, entry: Hashable) -> None:
+    """Remove `entry` from the bucket at `key` if it is there."""
+    bucket = index.get(key)
+    if bucket.__class__ is set:
+        bucket.discard(entry)
+        if len(bucket) == 1:
+            index[key] = bucket.pop()
+    elif bucket == entry:  # never true of an absent key's None
+        del index[key]
+
+
+def bucket_entries(bucket) -> Collection:
+    """The entries of a present bucket; a set is returned live."""
+    return bucket if bucket.__class__ is set else (bucket,)
+
+
+def bucket_faults(index: dict, want: dict[Hashable, set]) -> tuple[list, list]:
+    """Audit an index against the entry set each key should hold:
+    returns the (key, size) of every set bucket of fewer than two
+    entries, and the keys whose entries differ from `want`, in key
+    order."""
+    small, have = [], {}
+    for key, bucket in index.items():
+        if bucket.__class__ is set:
+            have[key] = bucket
+            if len(bucket) < 2:
+                small.append((key, len(bucket)))
+        else:
+            have[key] = {bucket}
+    mismatched = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+    return sorted(small), mismatched
 
 
 class Interner:
@@ -61,13 +109,10 @@ class KnowledgeGraph:
         self._next_id = 1
         # bumped by every insert and every delete that removes an edge
         self.mutations = 0
-        # triple-pattern indexes, key -> bucket of edge ids.  A bucket
-        # holding one edge is the bare int id; a set bucket always holds
-        # at least two ids, and an empty bucket is no key at all.
+        # triple-pattern indexes, key -> bucket of edge ids: one edge is
+        # the bare int id, two or more a set
         self._by_sp: dict[tuple[int, int], int | set[int]] = {}
         self._by_po: dict[tuple[int, int], int | set[int]] = {}
-        self._by_so: dict[tuple[int, int], int | set[int]] = {}
-        self._by_spo: dict[tuple[int, int, int], int | set[int]] = {}
         self._by_s: dict[int, int | set[int]] = {}
         self._by_p: dict[int, int | set[int]] = {}
         self._by_o: dict[int, int | set[int]] = {}
@@ -89,12 +134,10 @@ class KnowledgeGraph:
     # --- mutation ---
 
     def _buckets(self, s: int, p: int, o: int) -> tuple:
-        """(index, key) of the seven buckets an (s, p, o) edge sits in."""
+        """(index, key) of the five buckets an (s, p, o) edge sits in."""
         return (
             (self._by_sp, (s, p)),
             (self._by_po, (p, o)),
-            (self._by_so, (s, o)),
-            (self._by_spo, (s, p, o)),
             (self._by_s, s),
             (self._by_p, p),
             (self._by_o, o),
@@ -106,13 +149,7 @@ class KnowledgeGraph:
         self.mutations += 1
         self.edges[eid] = Edge(eid, subject, predicate, obj)
         for index, key in self._buckets(subject, predicate, obj):
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = eid
-            elif isinstance(bucket, int):
-                index[key] = {bucket, eid}
-            else:
-                bucket.add(eid)
+            bucket_add(index, key, eid)
         return eid
 
     def insert_triple(self, subject: str, predicate: str, obj: str) -> int:
@@ -126,13 +163,7 @@ class KnowledgeGraph:
             return None
         self.mutations += 1
         for index, key in self._buckets(edge.subject, edge.predicate, edge.object):
-            bucket = index[key]
-            if isinstance(bucket, int):
-                del index[key]
-            else:
-                bucket.discard(eid)
-                if len(bucket) == 1:
-                    index[key] = bucket.pop()
+            bucket_discard(index, key, eid)
         return edge
 
     # --- access paths ---
@@ -142,28 +173,32 @@ class KnowledgeGraph:
     ) -> Collection[int]:
         """Edge ids matching the pattern; None positions are wildcards.
 
-        A bucket of two or more ids is returned as the live set, which
-        the caller must not mutate; one id comes as a 1-tuple and no id
-        as an empty tuple."""
-        if s is not None and p is not None and o is not None:
-            bucket = self._by_spo.get((s, p, o))
-        elif s is not None and p is not None:
-            bucket = self._by_sp.get((s, p))
-        elif p is not None and o is not None:
-            bucket = self._by_po.get((p, o))
-        elif s is not None and o is not None:
-            bucket = self._by_so.get((s, o))
-        elif s is not None:
-            bucket = self._by_s.get(s)
+        With both endpoints bound, the smaller of two buckets -- (s, p)
+        and (p, o), or s and o when p is a wildcard -- is filtered by
+        the other endpoint into a tuple.  Any other pattern reads one
+        bucket: two or more ids come as the live set, which the caller
+        must not mutate, one id as a 1-tuple and none as an empty tuple.
+        An all-wildcard pattern gives a fresh set of every id."""
+        if s is not None and o is not None:
+            if p is None:
+                by_s, by_o = self._by_s.get(s), self._by_o.get(o)
+            else:
+                by_s, by_o = self._by_sp.get((s, p)), self._by_po.get((p, o))
+            if by_s is None or by_o is None:
+                return ()
+            edges = self.edges
+            if by_s.__class__ is not set or (by_o.__class__ is set and len(by_s) <= len(by_o)):
+                return tuple(i for i in bucket_entries(by_s) if edges[i].object == o)
+            return tuple(i for i in bucket_entries(by_o) if edges[i].subject == s)
+        if s is not None:
+            bucket = self._by_s.get(s) if p is None else self._by_sp.get((s, p))
         elif o is not None:
-            bucket = self._by_o.get(o)
+            bucket = self._by_o.get(o) if p is None else self._by_po.get((p, o))
         elif p is not None:
             bucket = self._by_p.get(p)
         else:
             return set(self.edges)
-        if bucket is None:
-            return ()
-        return (bucket,) if isinstance(bucket, int) else bucket
+        return () if bucket is None else bucket_entries(bucket)
 
     def lookup(
         self, s: int | None = None, p: int | None = None, o: int | None = None
@@ -179,29 +214,19 @@ class KnowledgeGraph:
     # --- consistency ---
 
     def audit(self) -> list[str]:
-        """Rebuild the seven indexes from `edges` and diff them against
+        """Rebuild the five indexes from `edges` and diff them against
         the live ones, and flag every set bucket of fewer than two ids;
         an empty list means consistent."""
-        names = ("sp", "po", "so", "spo", "s", "p", "o")  # _buckets order
+        names = ("sp", "po", "s", "p", "o")  # _buckets order
         want: dict[str, dict] = {name: {} for name in names}
         for e in self.edges.values():
             for name, (_, key) in zip(names, self._buckets(e.subject, e.predicate, e.object)):
                 want[name].setdefault(key, set()).add(e.id)
         problems = []
         for name, (index, _) in zip(names, self._buckets(None, None, None)):
-            have = {}
-            for key, bucket in index.items():
-                if isinstance(bucket, int):
-                    have[key] = {bucket}
-                else:
-                    have[key] = set(bucket)
-                    if len(bucket) < 2:
-                        problems.append(f"store {name} set bucket of {len(bucket)} at {key}")
-            problems += [
-                f"store {name} index mismatch at {key}"
-                for key in sorted(want[name].keys() | have.keys())
-                if want[name].get(key) != have.get(key)
-            ]
+            small, mismatched = bucket_faults(index, want[name])
+            problems += [f"store {name} set bucket of {n} at {key}" for key, n in small]
+            problems += [f"store {name} index mismatch at {key}" for key in mismatched]
         return problems
 
     # --- summary ---

@@ -22,6 +22,7 @@ from kgprov.planner import (
 )
 from kgprov.provenance import Polynomial
 from kgprov.query import TriplePattern, Var, canonicalize, parse_query
+from kgprov.store import bucket_entries
 from kgprov.workload import random_graph, random_query
 
 from conftest import brute_force_answers, enumerate_matches
@@ -153,13 +154,15 @@ def test_materialized_nodes_equal_per_node_evaluation(academia, running_query):
 def test_edge_rows_cover_every_table_row(academia, running_query):
     plan, _ = build_plan(academia, [running_query])
     materialize_plan(plan, academia)
+    # a bucket holding one (node, row) pair is the bare pair
     listed = {
-        (node, row) for entries in plan.edge_rows.values() for node, row in entries
+        entry for bucket in plan.edge_rows.values() for entry in bucket_entries(bucket)
     }
     actual = {
         (node, row) for node in plan.nodes.values() for row in node.table
     }
-    assert actual <= listed
+    assert actual == listed
+    assert any(bucket.__class__ is tuple for bucket in plan.edge_rows.values())
 
 
 def test_delta_insert_matches_rematerialization(academia, running_query):

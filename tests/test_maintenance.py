@@ -648,8 +648,37 @@ def test_audit_flags_stale_probe_index(registered):
     node, slots = next((n, s) for n in engine.plan.nodes.values() for s in n.indexes)
     assert engine.index_audit() == []
     stale = (999,) * node.num_vars  # a row the node's table does not hold
-    node.indexes[slots].setdefault(tuple(stale[s] for s in slots), set()).add(stale)
+    node.indexes[slots][tuple(stale[s] for s in slots)] = stale  # a one-row bucket
     assert engine.index_audit() == [f"plan probe index mismatch at {node!r} slots {slots}"]
+
+
+def test_audit_flags_one_row_set_in_probe_index(registered):
+    engine, _ = registered
+    engine.insert_triple("Ooi", "coAuthor", "Gehrke")  # builds probe indexes
+    node, idx, slots, key = next(
+        (n, idx, s, k)
+        for n in engine.plan.nodes.values()
+        for s, idx in n.indexes.items()
+        for k, bucket in idx.items() if bucket.__class__ is tuple
+    )
+    row = idx[key]
+    idx[key] = {row}  # the right row, but in a one-element set
+    assert engine.index_audit() == [
+        f"plan probe set bucket of 1 at {node!r} slots {slots} key {key}"
+    ]
+    idx[key] = row
+    assert engine.index_audit() == []
+
+
+@pytest.mark.parametrize("table", ["edge-to-result", "plan"])
+def test_audit_flags_one_entry_set_in_edge_index(registered, table):
+    engine, _ = registered
+    index = engine.edge_to_result if table == "edge-to-result" else engine.plan.edge_rows
+    eid, entry = next((e, b) for e, b in index.items() if b.__class__ is tuple)
+    index[eid] = {entry}  # the right (group, row) pair, but in a one-element set
+    assert engine.index_audit() == [f"{table} set bucket of 1 at e{eid}"]
+    index[eid] = entry
+    assert engine.index_audit() == []
 
 
 def _unsorted_monomial(m, c):

@@ -130,14 +130,21 @@ def test_access_paths_follow_interleaved_updates():
 
 def test_lookup_results_cannot_change_the_store():
     g = KnowledgeGraph()
-    x, y, p = g.node("x"), g.node("y"), g.predicate("p")
+    x, y, z, p = g.node("x"), g.node("y"), g.node("z"), g.predicate("p")
     eid = g.insert_edge(x, p, y)
+    # a duplicate-triple (s, p, o) bucket of two, beside a third edge
+    # that shares the (s, p) and s buckets but not the object
+    dups = {g.insert_edge(y, p, z), g.insert_edge(y, p, z)}
+    g.insert_edge(y, p, y)
     empty, single = g.lookup_ids(y, p, x), g.lookup_ids(x, p, y)
-    for result in (empty, single):
+    filtered = [g.lookup_ids(y, p, z), g.lookup_ids(y, None, z)]
+    for result in (empty, single, *filtered):
+        assert isinstance(result, tuple)
         with pytest.raises(AttributeError):
             result.add(99)
     assert list(g.lookup_ids(y, p, x)) == []
     assert list(g.lookup_ids(x, p, y)) == [eid]
+    assert [set(ids) for ids in filtered] == [dups, dups]
     assert g.audit() == []
 
 
