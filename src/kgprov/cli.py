@@ -110,7 +110,7 @@ def register(graph_path, query_paths):
             f"{path}: query {receipt.query_id}, "
             f"{len(receipt.answers)} answer(s), "
             f"{receipt.subquery_count} subqueries, "
-            f"{receipt.annotation_count} connection points"
+            f"{len(engine.all_annotations(receipt.query_id))} connection points"
         )
         for row in receipt.answers:
             values = {

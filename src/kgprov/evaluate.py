@@ -42,7 +42,33 @@ def _resolve(g: KnowledgeGraph, term, predicate: bool) -> int | None:
 
 
 def scan_pattern(p: TriplePattern, g: KnowledgeGraph) -> Table:
-    """Single-pattern scan; each row's polynomial is the edge symbol."""
+    """Single-pattern scan; each row's polynomial is the edge symbol, and
+    duplicate triples add up in one row."""
+    s, o = p.subject, p.object
+    if (
+        not isinstance(p.predicate, Var)
+        and isinstance(s, Var)
+        and isinstance(o, Var)
+        and s.name != o.name
+    ):
+        # the common leaf `?x pred ?y`: every edge of pred is a row (s, o)
+        pr = _resolve(g, p.predicate, True)
+        if pr is None:
+            return Table((), {})  # constant absent from the graph
+        edges = g.edges
+        rows: dict[tuple[int, ...], Polynomial] = {}
+        for eid in g.lookup_ids(None, pr, None):
+            e = edges[eid]
+            key = (e.subject, e.object)
+            poly = Polynomial.edge(eid)
+            rows[key] = rows[key] + poly if key in rows else poly
+        return Table((s.name, o.name), rows)
+    return _scan_matching(p, g)
+
+
+def _scan_matching(p: TriplePattern, g: KnowledgeGraph) -> Table:
+    """`scan_pattern` for any pattern shape: constants, a variable
+    predicate and repeated variables are matched edge by edge."""
     s = None if isinstance(p.subject, Var) else _resolve(g, p.subject, False)
     pr = None if isinstance(p.predicate, Var) else _resolve(g, p.predicate, True)
     o = None if isinstance(p.object, Var) else _resolve(g, p.object, False)
@@ -166,6 +192,8 @@ def materialize_node(node: PlanNode, g: KnowledgeGraph) -> dict[tuple[int, ...],
     """Scan a leaf's single pattern from the store, keyed by var slot."""
     table = scan_pattern(node.patterns[0], g)
     order = sorted(range(len(table.vars)), key=lambda i: int(table.vars[i][1:]))
+    if order == list(range(len(order))):
+        return table.rows
     return {
         tuple(row[i] for i in order): poly for row, poly in table.rows.items()
     }

@@ -1,22 +1,24 @@
 """Standing-query maintenance engine.
 
-Registration plans and materializes all of a query's one-pattern-removed
-subqueries through the shared global plan.  A query's answers are the
-projection of one join of two plan nodes: the root of a subquery that
-keeps a single component, and the leaf of the pattern that subquery
-removed.  Each edge insertion is answered by the plan's delta rule
-applied to that join, and each deletion by pruning the polynomials of
+A query's answers are the projection of one join of two plan nodes: the
+root of a one-pattern-removed subquery k that keeps a single component,
+and the leaf of pattern k.  Registration merges only that component's
+join chain and that leaf into the shared global plan, and materializes
+what is new.  Each edge insertion is answered by the plan's delta rule
+applied to the join, and each deletion by pruning the polynomials of
 the answers and the plan tables, two provenance-indexed tables -- no
 query is ever re-executed from scratch.
 
-Connection points (a subquery root's row waiting at a vertex for an edge
-with a given label and direction) are not stored: `all_annotations`
-reads them out of the root tables and each query's anchors.
+Connection points (a subquery component's match waiting at a vertex for
+an edge with a given label and direction) are neither planned nor
+stored: `all_annotations` evaluates every subquery component from the
+store when asked, for inspection only.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +27,7 @@ from .evaluate import (
     apply_insert_deltas,
     compute_insert_deltas,
     delta_delete,
+    evaluate_patterns,
     join_delta,
     join_tables,
     materialize_plan,
@@ -64,8 +67,8 @@ class Annotation:
     A potential match waits at `node` for an edge with label `exp_rel`
     leaving (`out`) or arriving (`in`); `bindings` are the full variable
     bindings of the matched component, `result` the fragment of the
-    answer it contributes, and `prov` its provenance polynomial (the
-    subquery root's plan row).
+    answer it contributes, and `prov` the provenance polynomial of the
+    component's match.
     """
 
     node: int
@@ -90,7 +93,6 @@ class RegistrationReceipt:
     query_id: int
     answers: list[BindingRow]
     subquery_count: int
-    annotation_count: int
 
 
 @dataclass
@@ -117,14 +119,6 @@ class UpdateReport:
 class RegisteredQuery:
     qid: int
     query: QueryGraph
-    # (removed ordinal, component index) -> global plan root node
-    roots: dict[tuple[int, int], PlanNode]
-    # (removed ordinal, component index) -> {component var -> slot}
-    root_varmaps: dict[tuple[int, int], dict[str, int]]
-    # (removed ordinal, component index) -> the connection points each
-    # root row carries: (endpoint slot, or None for a constant endpoint,
-    # the constant, expected predicate, direction)
-    anchors: dict[tuple[int, int], list[tuple[int | None, str | None, str, str]]]
     # the answer join root ⋈ leaf: `leaf` is the plan leaf of a pattern k
     # whose subquery keeps one component, `root` that subquery's root
     # (None for a single-pattern query, whose answers are leaf rows)
@@ -139,10 +133,10 @@ class RegisteredQuery:
     answers: dict[Row, Polynomial] = field(default_factory=dict)
 
 
-def _anchors(
-    sq: Subquery, ci: int, varmap: dict[str, int]
-) -> list[tuple[int | None, str | None, str, str]]:
-    """The connection points each row of component ci's root carries."""
+def _anchors(sq: Subquery, ci: int) -> list[tuple[str | None, str | None, str, str]]:
+    """The connection points each match of component ci carries:
+    (endpoint variable, or None for a constant endpoint, the constant,
+    expected predicate, direction)."""
     t = sq.removed_pattern
     if sq.sq_type is SubqueryType.III:
         sides = [("subject", "object")[ci]]
@@ -159,7 +153,7 @@ def _anchors(
         term = getattr(t, side)
         direction = OUT if side == "subject" else IN
         if isinstance(term, Var):
-            out.append((varmap[term.name], None, t.predicate, direction))
+            out.append((term.name, None, t.predicate, direction))
         else:
             out.append((None, term, t.predicate, direction))
     return out
@@ -229,42 +223,36 @@ class Engine:
             except ValueError as exc:
                 raise UnsupportedFeatureError(str(exc)) from exc
         stats = self._current_stats()
-        roots: dict[tuple[int, int], PlanNode] = {}
-        varmaps: dict[tuple[int, int], dict[str, int]] = {}
-        anchors = {}
-        for sq in subqueries:
-            for ci, comp in enumerate(sq.components):
-                root, varmap = merge_into_global(
-                    self.plan, select_best_plan(comp, stats), stats
-                )
-                root.roots += 1
-                roots[(sq.removed, ci)] = root
-                varmaps[(sq.removed, ci)] = varmap
-                anchors[(sq.removed, ci)] = _anchors(sq, ci, varmap)
 
         # the answer join root(k) ⋈ leaf(k): a subquery that keeps one
         # component always exists (remove a leaf of a spanning tree of
-        # the patterns); a single-pattern query is its own leaf
-        k = next((sq.removed for sq in subqueries if len(sq.components) == 1), 0)
-        leaf, leaf_vm = merge_into_global(self.plan, [q.patterns[k]], stats)
+        # the patterns); a single-pattern query is its own leaf.  Only
+        # these two enter the plan; the other subqueries place connection
+        # points, which all_annotations evaluates on demand.
+        sq = next((sq for sq in subqueries if len(sq.components) == 1), None)
+        root = probes = None
+        if sq is not None:
+            root, root_vm = merge_into_global(
+                self.plan, select_best_plan(sq.components[0], stats), stats
+            )
+            root.roots += 1
+        leaf, leaf_vm = merge_into_global(
+            self.plan, [q.patterns[0 if sq is None else sq.removed]], stats
+        )
         materialize_plan(self.plan, self.graph)
         # join rows hold the distinct projected variables, so the join
         # itself sums the derivations of each answer
         proj = list(dict.fromkeys(q.projection))
-        root = probes = None
-        if subqueries:
-            root = roots[(k, 0)]
+        if root is not None:
             order = proj + sorted(q.variables() - set(proj))
             slot = {v: i for i, v in enumerate(order)}
-            rmap = {s: slot[v] for v, s in varmaps[(k, 0)].items()}
+            rmap = {s: slot[v] for v, s in root_vm.items()}
             lmap = {s: slot[v] for v, s in leaf_vm.items()}
             probes = (join_probe(rmap, lmap, len(proj)), join_probe(lmap, rmap, len(proj)))
             positions = tuple(proj.index(v) for v in q.projection)
         else:
             positions = tuple(leaf_vm[v] for v in q.projection)
-        rq = RegisteredQuery(
-            qid, q, roots, varmaps, anchors, leaf, root, probes, tuple_getter(positions)
-        )
+        rq = RegisteredQuery(qid, q, leaf, root, probes, tuple_getter(positions))
 
         self.answers.add(qid, self._answer_join(rq))
         rq.answers = self.answers.group(qid)
@@ -280,9 +268,6 @@ class Engine:
                 for row, poly in rq.answers.items()
             ],
             subquery_count=len(subqueries),
-            annotation_count=sum(
-                len(roots[key].table) * len(a) for key, a in anchors.items()
-            ),
         )
 
     def _current_stats(self):
@@ -383,11 +368,29 @@ class Engine:
         """Rebuild all inverted indexes, the store's and the plan's join
         probe indexes included, from first principles and diff them
         against the live ones, check that every stored polynomial is
-        canonical, and recompute every query's answers from its answer
-        join; an empty list means consistent."""
+        canonical, that every plan node feeds some answer join and that
+        its `roots` count the joins rooted at it, and recompute every
+        query's answers from its answer join; an empty list means
+        consistent."""
         problems = self.graph.audit()
         problems += [f"edge-to-result {p}" for p in self.answers.audit()]
         problems += [f"plan {p}" for p in self.plan.audit()]
+        queries = self.queries.values()
+        joins = [n for rq in queries for n in (rq.root, rq.leaf) if n is not None]
+        rooted = Counter(rq.root for rq in queries)
+        live: set[PlanNode] = set()
+        while joins:
+            node = joins.pop()
+            if node not in live:
+                live.add(node)
+                joins += [self.plan.nodes[key] for key, _ in node.children or ()]
+        for node in self.plan.nodes.values():
+            if node not in live:
+                problems.append(f"plan node {node!r} feeds no answer join")
+            if node.roots != rooted[node]:
+                problems.append(
+                    f"plan node {node!r} roots {rooted[node]} answer joins, not {node.roots}"
+                )
         for qid, rq in self.queries.items():
             want, have = self._answer_join(rq), rq.answers
             problems += sorted(
@@ -404,20 +407,28 @@ class Engine:
             for row, poly in sorted(rq.answers.items())
         ]
 
-    def all_annotations(self) -> list[Annotation]:
-        """Every connection point as a record, in key order, read from
-        the subquery root tables."""
+    def all_annotations(self, qid: int | None = None) -> list[Annotation]:
+        """Every connection point (of query `qid` alone, if given) as a
+        record, in key order.  Each subquery component is evaluated from
+        the store on every call: this is for inspection, not for updates."""
         out = []
-        for rq in self.queries.values():
-            for (removed, ci), anchors in rq.anchors.items():
-                varmap = rq.root_varmaps[(removed, ci)]
-                for row, poly in rq.roots[(removed, ci)].table.items():
-                    bindings = {v: row[s] for v, s in varmap.items()}
-                    result = tuple(bindings[v] for v in rq.query.projection if v in bindings)
-                    for slot, const, pred, direction in anchors:
-                        vertex = self.graph.node(const) if slot is None else row[slot]
-                        out.append(Annotation(
-                            vertex, pred, direction, rq.qid, removed, ci,
-                            result, bindings, poly,
-                        ))
+        for rq in self.queries.values() if qid is None else [self.queries[qid]]:
+            q = rq.query
+            if q.size < 2:
+                continue
+            for sq in generate_subqueries(q):
+                for ci, comp in enumerate(sq.components):
+                    anchors = _anchors(sq, ci)
+                    if not anchors:
+                        continue
+                    table = evaluate_patterns(comp, self.graph)
+                    for row, poly in table.rows.items():
+                        bindings = dict(zip(table.vars, row))
+                        result = tuple(bindings[v] for v in q.projection if v in bindings)
+                        for var, const, pred, direction in anchors:
+                            vertex = self.graph.node(const) if var is None else bindings[var]
+                            out.append(Annotation(
+                                vertex, pred, direction, rq.qid, sq.removed, ci,
+                                result, bindings, poly,
+                            ))
         return sorted(out, key=lambda a: a.key)

@@ -1,6 +1,6 @@
 """Join planning for standing-query subqueries.
 
-Each subquery component gets one greedy left-deep join order, scored
+A planned subquery component gets one greedy left-deep join order, scored
 with characteristic-pair statistics: it starts from the cheapest pair
 of patterns and adds the cheapest connected pattern at each step.  The
 order's prefixes are merged into a single global DAG shared by
@@ -287,7 +287,7 @@ class PlanNode:
     # bindings over var slots 0..num_vars-1 -> provenance; the plan's
     # ProvTable group keyed by this node
     table: dict[tuple[int, ...], Polynomial] = field(default_factory=dict)
-    # how many registered subquery components this node roots
+    # how many registered queries' answer joins this node roots
     roots: int = 0
     # join nodes: (left child's rows probing the right, right's probing
     # the left)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 from kgprov.evaluate import (
+    _scan_matching,
     apply_insert_deltas,
     compute_insert_deltas,
     delta_delete,
@@ -22,7 +23,7 @@ from kgprov.planner import (
 )
 from kgprov.provenance import Polynomial
 from kgprov.query import TriplePattern, Var, canonicalize, parse_query
-from kgprov.store import bucket_entries
+from kgprov.store import KnowledgeGraph, bucket_entries
 from kgprov.workload import random_graph, random_query
 
 from conftest import brute_force_answers, enumerate_matches
@@ -61,6 +62,31 @@ def test_scan_constant_absent_from_graph(academia):
         TriplePattern(Var("x"), "hadAdvisor", "Nobody", ordinal=0), academia
     )
     assert t.rows == {}
+
+
+def test_leaf_scan_fast_path_matches_generic_scan():
+    """`?x p ?y` takes the one-loop path; it must give what the
+    edge-by-edge matcher gives, duplicate triples summed into one row and
+    a self-loop edge kept.  Self-loop patterns, constant endpoints and a
+    variable predicate take the matcher itself."""
+    g = KnowledgeGraph()
+    for s, p, o in [
+        ("a", "p", "b"), ("a", "p", "b"), ("a", "p", "b"),  # duplicates
+        ("b", "p", "b"),  # a self-loop edge
+        ("b", "p", "c"), ("c", "q", "a"), ("a", "q", "a"),
+    ]:
+        g.insert_triple(s, p, o)
+    x, y = Var("x"), Var("y")
+    for pattern in [
+        (x, "p", y), (x, "q", y), (y, "p", x), (x, "absent", y),
+        (x, "p", x), (x, "q", x), ("a", "p", y), (x, "p", "b"), (x, y, "a"),
+    ]:
+        p = TriplePattern(*pattern, ordinal=0)
+        assert scan_pattern(p, g) == _scan_matching(p, g), pattern
+    rows = scan_pattern(TriplePattern(x, "p", y, ordinal=0), g).rows
+    a, b = g.node("a"), g.node("b")
+    assert rows[(a, b)] == Polynomial.parse("e1 + e2 + e3")
+    assert rows[(b, b)] == Polynomial.parse("e4")
 
 
 def test_hash_join_agrees_with_oracle(academia):

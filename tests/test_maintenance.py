@@ -4,14 +4,14 @@ and incremental answer maintenance under single-edge updates."""
 from __future__ import annotations
 
 import collections
-import copy
 import random
 
 import pytest
 
 from kgprov import maintenance
-from kgprov.evaluate import evaluate_patterns
+from kgprov.evaluate import evaluate_patterns, materialize_plan
 from kgprov.maintenance import IN, OUT, Engine
+from kgprov.planner import merge_into_global, select_best_plan
 from kgprov.provenance import Polynomial
 from kgprov.query import (
     QueryError,
@@ -22,10 +22,10 @@ from kgprov.query import (
     parse_query,
 )
 from kgprov.store import KnowledgeGraph
-from kgprov.subquery import generate_subqueries
+from kgprov.subquery import SubqueryType, generate_subqueries
 from kgprov.workload import random_graph, random_query
 
-from conftest import RUNNING_QUERY, brute_force_answers
+from conftest import RUNNING_QUERY, brute_force_answers, enumerate_matches
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ def test_registration_receipt(registered):
     engine, receipt = registered
     assert receipt.query_id == 1
     assert receipt.subquery_count == 5
-    assert receipt.annotation_count == 16
+    assert len(engine.all_annotations(receipt.query_id)) == 16
     assert len(receipt.answers) == 1
     row = receipt.answers[0]
     g = engine.graph
@@ -378,24 +378,52 @@ def test_answer_join_tracks_oracle_on_every_shape():
     assert len(seen) == len(queries) + 1 and min(seen.values()) > 0
 
 
-def _connection_points(engine):
-    return {(a.key, a.node, a.exp_rel, a.prov) for a in engine.all_annotations()}
+def oracle_connection_points(engine):
+    """Every connection point from the brute-force oracle: the matches of
+    each subquery component, one polynomial per distinct binding, each
+    waiting at every endpoint of the removed pattern that the component
+    mentions, except that Type II's lone far pattern waits nowhere."""
+    g = engine.graph
+    out = []
+    for qid, rq in engine.queries.items():
+        q = rq.query
+        for sq in generate_subqueries(q) if q.size > 1 else ():
+            t = sq.removed_pattern
+            for ci, comp in enumerate(sq.components):
+                if sq.sq_type is SubqueryType.II and ci == 1:
+                    continue
+                terms = {x for p in comp for x in (p.subject, p.object)}
+                ends = [(x, d) for x, d in ((t.subject, OUT), (t.object, IN)) if x in terms]
+                matches = {}
+                for env, eids in enumerate_matches(comp, g):
+                    key = tuple(sorted(env.items()))
+                    mono = Polynomial.monomial(tuple(sorted(collections.Counter(eids).items())))
+                    matches[key] = matches.get(key, Polynomial.zero()) + mono
+                for key, poly in matches.items():
+                    env = dict(key)
+                    result = tuple(env[v] for v in q.projection if v in env)
+                    for x, d in ends:
+                        node = env[x.name] if isinstance(x, Var) else g.node(x)
+                        out.append((qid, sq.removed, ci, d, key, node, t.predicate, result, poly))
+    return sorted(out)
 
 
-def test_connection_points_match_fresh_registration():
+def test_connection_points_match_oracle():
     rng = random.Random(31)
-    compared = 0
+    compared, constants, types = 0, 0, set()
     for _trial in range(8):
         g = random_graph(rng, 12, 3, 40)
         engine = Engine(g)
-        queries = []
+        # removing its first pattern leaves a Type IV subquery whose
+        # connection points wait at the constant n1
+        pinned = engine.register_query(
+            parse_query("SELECT ?x WHERE { ?x p0 n1 . ?x p1 ?y . ?y p2 n1 . }")
+        ).query_id
         for _ in range(3):
-            q = random_query(g, rng, rng.randrange(2, 5))
             try:
-                engine.register_query(q)
+                engine.register_query(random_query(g, rng, rng.randrange(2, 5)))
             except QueryError:
                 continue
-            queries.append(q)
         names = [f"n{i}" for i in range(12)]
         preds = sorted(g.predicates.names())
         for _step in range(25):
@@ -405,13 +433,25 @@ def test_connection_points_match_fresh_registration():
                 engine.insert_triple(
                     rng.choice(names), rng.choice(preds), rng.choice(names)
                 )
-        fresh = Engine(copy.deepcopy(g))
-        for q in queries:
-            fresh.register_query(q)
-        want = _connection_points(fresh)
-        assert _connection_points(engine) == want
+        want = oracle_connection_points(engine)
+        have = sorted(
+            (
+                a.query_id, a.removed, a.component, a.direction,
+                tuple(sorted(a.bindings.items())), a.node, a.exp_rel, a.result, a.prov,
+            )
+            for a in engine.all_annotations()
+        )
+        assert have == want
         compared += len(want)
+        constants += sum(
+            1 for a in engine.all_annotations(pinned) if a.removed == 0 and a.direction == IN
+        )
+        types |= {
+            sq.sq_type for rq in engine.queries.values() for sq in generate_subqueries(rq.query)
+        }
     assert compared > 0
+    assert constants > 0
+    assert types == set(SubqueryType)
 
 
 def test_statistics_follow_every_update(engine):
@@ -480,15 +520,18 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
 
     monkeypatch.setattr(maintenance, "materialize_plan", counting_materialize)
 
-    # all three share the empty join node ?a hadAdvisor ?b . ?c hasDegree ?b
+    # all three share the empty join node ?a hadAdvisor ?b . ?c hasDegree ?b:
+    # removing the first pattern leaves it as one component, so it is
+    # the root of each answer join
     shared = "?a hadAdvisor ?b . ?c hasDegree ?b ."
     for extra in ("?b worksIn ?d .", "?e coAuthor ?a .", "?a worksIn ?d ."):
-        engine.register_query(parse_query(f"SELECT ?a WHERE {{ {shared} {extra} }}"))
+        engine.register_query(parse_query(f"SELECT ?a WHERE {{ {extra} {shared} }}"))
     [empty] = [
         n for n in engine.plan.nodes.values()
         if n.label() == "?v0 hadAdvisor ?v1 . ?v2 hasDegree ?v1"
     ]
     assert empty.table == {}
+    assert empty.roots == 3
     assert filled == collections.Counter(engine.plan.nodes.values())
     leaves = sum(1 for n in engine.plan.nodes.values() if n.is_leaf)
     assert sum(store_reads) == leaves  # one scan per leaf, none per join
@@ -627,6 +670,23 @@ def test_audit_flags_wrong_answer_polynomial(registered):
     # join can tell
     answers[row] = answers[row] + answers[row]
     assert engine.index_audit() == [f"answer mismatch in query 1 at {row}"]
+
+
+def test_audit_flags_dead_plan_node(registered):
+    engine, _ = registered
+    assert engine.index_audit() == []
+    # a join that no answer join reads, over two leaves that one does
+    q = parse_query("SELECT ?a WHERE { ?a hadAdvisor ?b . ?b worksIn ?c . }")
+    stats = engine._current_stats()
+    dead, _ = merge_into_global(engine.plan, select_best_plan(q.patterns, stats), stats)
+    materialize_plan(engine.plan, engine.graph)
+    assert dead.table
+    assert engine.index_audit() == [f"plan node {dead!r} feeds no answer join"]
+    dead.roots += 1
+    assert engine.index_audit() == [
+        f"plan node {dead!r} feeds no answer join",
+        f"plan node {dead!r} roots 0 answer joins, not 1",
+    ]
 
 
 def test_audit_flags_store_corruption(registered):

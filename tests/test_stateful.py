@@ -90,7 +90,7 @@ class EngineMachine(RuleBasedStateMachine):
         except QueryError:  # already registered: the engine is unchanged
             return None
         rq = self.engine.queries[qid]
-        if rq.leaf in before or any(root in before for root in rq.roots.values()):
+        if rq.leaf in before or rq.root in before:
             REACHED.add("shared plan node")
         if self.updated:
             REACHED.add("registration after updates")
