@@ -5,14 +5,18 @@ serve both the plan's join nodes and the engine's answer joins.
 
 Every produced row carries a polynomial whose monomials are exactly the
 edge multisets of its derivations, so deletion reduces to monomial
-pruning and insertion to join deltas.
+pruning and insertion to join deltas.  A plain leaf `?x p ?y` keeps no
+rows: a join reads it from the store's buckets, one edge symbol per
+edge, so it has nothing to apply on insert and nothing to prune on
+delete.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .planner import GlobalPlan, JoinProbe, PlanNode, slot_index
+from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, slot_index
 from .provenance import Polynomial, ResultDelta
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph, bucket_add, bucket_discard, bucket_entries
@@ -52,17 +56,9 @@ def scan_pattern(p: TriplePattern, g: KnowledgeGraph) -> Table:
         and s.name != o.name
     ):
         # the common leaf `?x pred ?y`: every edge of pred is a row (s, o)
-        pr = _resolve(g, p.predicate, True)
-        if pr is None:
+        if _resolve(g, p.predicate, True) is None:
             return Table((), {})  # constant absent from the graph
-        edges = g.edges
-        rows: dict[tuple[int, ...], Polynomial] = {}
-        for eid in g.lookup_ids(None, pr, None):
-            e = edges[eid]
-            key = (e.subject, e.object)
-            poly = Polynomial.edge(eid)
-            rows[key] = rows[key] + poly if key in rows else poly
-        return Table((s.name, o.name), rows)
+        return Table((s.name, o.name), LeafView(g, p.predicate).rows())
     return _scan_matching(p, g)
 
 
@@ -206,13 +202,21 @@ def join_tables(
     left rows probing right and right rows probing left.
 
     Both sides hold full bindings, so summing the products over matching
-    row pairs yields every derivation exactly once.  The smaller side is
-    hashed for this join only, so the call leaves no index behind that
-    the update path did not ask for."""
+    row pairs yields every derivation exactly once.  A plain leaf is
+    probed in the store's buckets: the other side is scanned, or, when
+    both are plain leaves, the one with fewer edges.  Otherwise the
+    smaller table is hashed for this join only, so the call leaves no
+    index behind that the update path did not ask for."""
+    out: dict[tuple[int, ...], Polynomial] = {}
+    if left.plain or right.plain:
+        probe, scan, other = probes[0], left, right
+        if not right.plain or (left.plain and right.table.count() < left.table.count()):
+            probe, scan, other = probes[1], right, left
+        _probe(scan.table, probe, other, None, out)
+        return out
     probe, big, small = probes[0], left, right
     if len(left.table) < len(right.table):
         probe, big, small = probes[1], right, left
-    out: dict[tuple[int, ...], Polynomial] = {}
     if small.table:  # an empty side leaves the join empty
         _probe(big.table, probe, small, small.table, out)
     return out
@@ -220,8 +224,13 @@ def join_tables(
 
 def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
     """Fill the table (and the edge->row index) of every node created
-    since the last call, children first; only leaves read the store."""
+    since the last call, children first: a leaf scans its pattern from
+    the store, a join node joins its children's current tables, and a
+    plain leaf is not scanned but gets a `LeafView` of the store."""
     for node in plan.pending:
+        if node.plain:
+            node.table = LeafView(g, node.patterns[0].predicate)
+            continue
         if node.is_leaf:
             rows = materialize_node(node, g)
         else:
@@ -277,18 +286,23 @@ def _leaf_delta(node: PlanNode, e: Edge, g: KnowledgeGraph) -> dict[tuple[int, .
 
 
 def _probe(
-    delta: dict[tuple[int, ...], Polynomial],
+    delta: Mapping[tuple[int, ...], Polynomial],
     probe: JoinProbe,
     other: PlanNode,
     other_rows: dict[tuple[int, ...], Polynomial] | None,
     out: dict[tuple[int, ...], Polynomial],
+    skip: int | None = None,
 ):
     """Join delta rows against one input side into `out`.
 
-    `other_rows=None` probes the side's full table through its cached
-    index; otherwise the given rows are hashed for this call only.
+    `other_rows=None` probes the side's full table: a plain leaf's in
+    the store, leaving out edge `skip`, any other through its cached
+    index.  Otherwise the given rows are hashed for this call only.
     """
     if other_rows is None:
+        if other.plain:
+            _probe_store(delta, probe, other.table, out, skip)
+            return
         idx, other_rows = node_index(other, probe.o_slots), other.table
     else:
         idx = slot_index(other_rows, probe.o_slots)
@@ -303,22 +317,63 @@ def _probe(
             out[key] = out[key] + poly if key in out else poly
 
 
+def _probe_store(
+    delta: Mapping[tuple[int, ...], Polynomial],
+    probe: JoinProbe,
+    leaf: LeafView,
+    out: dict[tuple[int, ...], Polynomial],
+    skip: int | None,
+):
+    """`_probe` into a plain leaf: each delta row reads the store bucket
+    of its bound endpoints, and every edge in it but `skip` joins the row
+    with its own symbol, so that duplicate triples sum in `out`."""
+    g = leaf.graph
+    p = g.predicates.get(leaf.predicate)
+    if p is None:
+        return
+    o_slots = probe.o_slots  # the leaf's slots 0 (subject) and 1 (object)
+    s_at = o_slots.index(0) if 0 in o_slots else None
+    o_at = o_slots.index(1) if 1 in o_slots else None
+    # one bound endpoint, the usual probe, reads its (s, p) or (p, o)
+    # bucket directly; two go through the filtered lookup
+    index = g.endpoint_index(o_at is None) if len(o_slots) == 1 else None
+    edges, d_key, parent_row = g.edges, probe.d_key, probe.parent_row
+    for drow, dpoly in delta.items():
+        k = d_key(drow)
+        if index is None:
+            ids = g.lookup_ids(None if s_at is None else k[s_at], p, None if o_at is None else k[o_at])
+        else:
+            bucket = index.get((k[0], p) if o_at is None else (p, k[0]))
+            if bucket is None:
+                continue
+            ids = bucket_entries(bucket)
+        for eid in ids:
+            if eid != skip:
+                # an Edge is (id, subject, predicate, object)
+                key = parent_row(drow + edges[eid][1::2])
+                poly = dpoly.times_edge(eid)
+                out[key] = out[key] + poly if key in out else poly
+
+
 def join_delta(
     left: PlanNode,
     right: PlanNode,
     probes: tuple[JoinProbe, JoinProbe],
     dl: dict[tuple[int, ...], Polynomial] | None,
     dr: dict[tuple[int, ...], Polynomial] | None,
+    skip: int | None = None,
 ) -> dict[tuple[int, ...], Polynomial]:
     """The delta rule ΔL⋈R + L⋈ΔR + ΔL⋈ΔR of left ⋈ right, given each
     side's delta (None or empty for none) against its current, pre-apply
-    table; `probes` is laid out as for `join_tables`."""
+    table; `probes` is laid out as for `join_tables`.  `skip` is the
+    inserted edge, which the store already holds but a plain leaf's
+    pre-insert table does not: ΔL⋈ΔR supplies its terms."""
     lprobe, rprobe = probes
     d: dict[tuple[int, ...], Polynomial] = {}
     if dl:
-        _probe(dl, lprobe, right, None, d)
+        _probe(dl, lprobe, right, None, d, skip)
     if dr:
-        _probe(dr, rprobe, left, None, d)
+        _probe(dr, rprobe, left, None, d, skip)
     if dl and dr:
         _probe(dl, lprobe, right, dr, d)
     return d
@@ -329,7 +384,8 @@ def compute_insert_deltas(
 ) -> dict[PlanNode, dict[tuple[int, ...], Polynomial]]:
     """Bottom-up delta of every plan node for one inserted edge,
     computed against the current (pre-apply) tables; nothing is applied.
-    The edge must already be present in the store."""
+    The edge must already be present in the store: plain leaves are read
+    from it without the edge, and `_leaf_delta` gives their delta."""
     pred = g.predicate_name(e.predicate)
     if not plan.pred_index.get(pred):
         return {}
@@ -342,15 +398,18 @@ def compute_insert_deltas(
         else:
             (lkey, _), (rkey, _) = node.children
             left, right = plan.nodes[lkey], plan.nodes[rkey]
-            d = join_delta(left, right, node.probes, deltas.get(left), deltas.get(right))
+            d = join_delta(left, right, node.probes, deltas.get(left), deltas.get(right), e.id)
         if d:
             deltas[node] = d
     return deltas
 
 
 def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
-    """Merge computed insert deltas into the node tables and indexes."""
+    """Merge computed insert deltas into the node tables and indexes; a
+    plain leaf's delta is in the store already."""
     for node, d in deltas.items():
+        if node.plain:
+            continue
         for row in plan.rows.add(node, d):
             _index_add(node, row)
 
@@ -362,10 +421,12 @@ def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
 
 def delta_delete(plan: GlobalPlan, edge_id: int) -> dict[PlanNode, ResultDelta]:
     """Prune the deleted edge's monomials from every indexed plan row;
-    returns {node: ResultDelta}.
+    returns {node: ResultDelta}.  Plain leaves hold no rows, so the
+    store's own delete has already updated them.
 
     Monomials are exact derivation edge-multisets, so pruning each node
     independently keeps all tables consistent; no re-join is needed.
+    Every prune is computed before any row or index changes.
     """
     report = plan.rows.prune(edge_id)
     for node, d in report.items():

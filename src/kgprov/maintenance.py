@@ -7,7 +7,10 @@ join chain and that leaf into the shared global plan, and materializes
 what is new.  Each edge insertion is answered by the plan's delta rule
 applied to the join, and each deletion by pruning the polynomials of
 the answers and the plan tables, two provenance-indexed tables -- no
-query is ever re-executed from scratch.
+query is ever re-executed from scratch.  A plain leaf `?x p ?y` keeps
+no table: the answer join, and a single-pattern query's answers, read
+it from the store through its `LeafView`, so the store's own update is
+all it needs.
 
 Connection points (a subquery component's match waiting at a vertex for
 an edge with a given label and direction) are neither planned nor
@@ -314,7 +317,7 @@ class Engine:
             if rq.root is None:
                 rows = dl
             else:
-                rows = join_delta(rq.root, rq.leaf, rq.probes, deltas.get(rq.root), dl)
+                rows = join_delta(rq.root, rq.leaf, rq.probes, deltas.get(rq.root), dl, e.id)
             if rows:
                 added[rq.qid] = _project(rows, rq.project)
         t2 = time.perf_counter()
@@ -335,28 +338,41 @@ class Engine:
     # ------------------------------------------------------------------
 
     def delete_edge(self, edge_id: int) -> UpdateReport | None:
+        """Delete an edge and maintain every query; if maintenance fails,
+        the edge returns to the store under its id and the error
+        propagates."""
         e = self.graph.delete_edge(edge_id)
         if e is None:
             return None
-        return self.handle_deletion(e)
+        try:
+            return self.handle_deletion(e)
+        except BaseException:
+            self.graph.put_edge(e)
+            raise
 
     def handle_deletion(self, e: Edge) -> UpdateReport:
         """Filter-and-refine: look up everything that used the edge,
-        prune its monomials, and drop whatever collapses to zero."""
+        prune its monomials, and drop whatever collapses to zero.  The
+        answers' prune is computed first and committed last, after the
+        plan's, so a failure leaves every table as it was."""
         report = UpdateReport(op="-", edge_id=e.id)
         self._stats_cache = None
 
         t0 = time.perf_counter()
-        for qid, d in self.answers.prune(e.id).items():
+        cut = self.answers.cut(e.id)
+        t1 = time.perf_counter()
+        delta_delete(self.plan, e.id)
+        t2 = time.perf_counter()
+        if cut:
+            self.answers.commit(e.id, cut)
+        for qid, d in cut.items():
             if d.pruned:
                 report.pruned[qid] = list(d.pruned.items())
             if d.removed:
                 report.removed[qid] = list(d.removed)
-        t1 = time.perf_counter()
-        delta_delete(self.plan, e.id)
-        t2 = time.perf_counter()
+        t3 = time.perf_counter()
 
-        report.response_time = t1 - t0
+        report.response_time = (t1 - t0) + (t3 - t2)
         report.maintenance_time = t2 - t1
         return report
 
@@ -368,7 +384,8 @@ class Engine:
         """Rebuild all inverted indexes, the store's and the plan's join
         probe indexes included, from first principles and diff them
         against the live ones, check that every stored polynomial is
-        canonical, that every plan node feeds some answer join and that
+        canonical, that no plain leaf holds rows, a group, edge entries
+        or a probe index, that every plan node feeds some answer join and that
         its `roots` count the joins rooted at it, and recompute every
         query's answers from its answer join; an empty list means
         consistent."""

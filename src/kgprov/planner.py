@@ -10,6 +10,7 @@ materialized once.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .provenance import Polynomial, ProvTable
 from .query import CanonicalForm, CanonicalKey, TriplePattern, Var, canonicalize
-from .store import KnowledgeGraph, bucket_add, bucket_faults
+from .store import KnowledgeGraph, bucket_add, bucket_entries, bucket_faults
 
 # --------------------------------------------------------------------------
 # Statistics
@@ -272,6 +273,63 @@ def slot_index(rows: Iterable[tuple[int, ...]], slots: tuple[int, ...]) -> dict:
     return idx
 
 
+class LeafView(Mapping):
+    """The table of a plain leaf `?v0 p ?v1` (a constant predicate and
+    two distinct variables), read from the store on every access instead
+    of copied: the row (s, o) maps to the sum of the symbols of the
+    edges s p o, so duplicate triples add up in one row.  The predicate
+    is resolved by name on each read, because it may enter the store
+    only after the leaf is planned.  Read-only."""
+
+    __slots__ = ("graph", "predicate")
+
+    def __init__(self, graph: KnowledgeGraph, predicate: str):
+        self.graph = graph
+        self.predicate = predicate
+
+    def edge_ids(self, s: int | None = None, o: int | None = None):
+        """Ids of the edges s p o, None being a wildcard; a bucket may
+        come live, as `KnowledgeGraph.lookup_ids` gives it."""
+        p = self.graph.predicates.get(self.predicate)
+        return () if p is None else self.graph.lookup_ids(s, p, o)
+
+    def count(self) -> int:
+        """The predicate's edge count, read without a scan; no fewer
+        than the rows."""
+        return len(self.edge_ids())
+
+    def rows(self) -> dict[tuple[int, ...], Polynomial]:
+        """Every row, from one scan of the predicate's bucket."""
+        edges = self.graph.edges
+        out: dict[tuple[int, ...], Polynomial] = {}
+        for eid in self.edge_ids():
+            e = edges[eid]
+            key = (e.subject, e.object)
+            poly = Polynomial.edge(eid)
+            out[key] = out[key] + poly if key in out else poly
+        return out
+
+    def __getitem__(self, row: tuple[int, ...]) -> Polynomial:
+        poly = Polynomial.zero()
+        for eid in self.edge_ids(*row):
+            poly = poly + Polynomial.edge(eid)
+        if not poly:
+            raise KeyError(row)
+        return poly
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __len__(self) -> int:
+        return len(self.rows())
+
+    def items(self):
+        return self.rows().items()
+
+    def values(self):
+        return self.rows().values()
+
+
 @dataclass(eq=False, repr=False)
 class PlanNode:
     """A shared plan expression; compared and hashed by identity, so the
@@ -285,8 +343,11 @@ class PlanNode:
     # (child key, map child-var-slot -> this node's var slot) per side
     children: tuple[tuple[CanonicalKey, dict[int, int]], tuple[CanonicalKey, dict[int, int]]] | None
     # bindings over var slots 0..num_vars-1 -> provenance; the plan's
-    # ProvTable group keyed by this node
-    table: dict[tuple[int, ...], Polynomial] = field(default_factory=dict)
+    # ProvTable group keyed by this node, or a plain leaf's LeafView
+    table: Mapping[tuple[int, ...], Polynomial] = field(default_factory=dict)
+    # a plain leaf `?v0 p ?v1`: no rows, group, edge entries or probe
+    # indexes of its own; every read goes to the store
+    plain: bool = False
     # how many registered queries' answer joins this node roots
     roots: int = 0
     # join nodes: (left child's rows probing the right, right's probing
@@ -331,11 +392,20 @@ class GlobalPlan:
         return self.rows.by_edge
 
     def audit(self) -> list[str]:
-        """The row table's audit, plus every join-probe index bucket that
-        breaks the bucket invariant and every index that differs from one
-        rebuilt from its node's table."""
+        """The row table's audit, plus every plain leaf that holds a
+        group, an edge entry or a probe index, every join-probe index
+        bucket that breaks the bucket invariant and every index that
+        differs from one rebuilt from its node's table."""
         problems = self.rows.audit()
+        problems += [f"plain leaf {node!r} holds a table group" for node in self.rows.groups if node.plain]
+        problems += sorted({
+            f"plain leaf {node!r} holds edge entries"
+            for bucket in self.rows.by_edge.values()
+            for node, _ in bucket_entries(bucket) if node.plain
+        })
         for node in self.nodes.values():
+            if node.plain and node.indexes:
+                problems.append(f"plain leaf {node!r} holds a probe index")
             for slots, idx in node.indexes.items():
                 key = tuple_getter(slots)
                 want: dict = {}
@@ -400,8 +470,11 @@ def merge_into_global(
             estimate=estimate_cardinality(pats, stats),
             children=children,
             probes=probes,
+            # `?v0 p ?v1`, the only form of a plain leaf's key
+            plain=len(pats) == 1 and cf.key[0][::2] == (("v", 0), ("v", 1)) and cf.key[0][1][0] == "c",
         )
-        node.table = plan.rows.group(node)
+        if not node.plain:  # a plain leaf gets its view when materialized
+            node.table = plan.rows.group(node)
         plan.nodes[cf.key] = node
         plan.pending.append(node)
         for pred in node.predicates:

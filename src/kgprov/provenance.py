@@ -135,6 +135,15 @@ class Polynomial:
                 acc[m] = acc.get(m, 0) + c1 * c2
         return Polynomial(acc)
 
+    def times_edge(self, edge_id: int) -> Polynomial:
+        """self * Polynomial.edge(edge_id), without building the latter."""
+        factor = ((edge_id, 1),)
+        terms = self.terms
+        if len(terms) == 1:
+            m, c = terms[0]
+            return Polynomial._of(((mono_mul(m, factor), c),))
+        return Polynomial({mono_mul(m, factor): c for m, c in terms})
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -277,18 +286,16 @@ class ProvTable:
                     bucket_add(by_edge, eid, entry)
         return fresh
 
-    def prune(self, edge_id: int) -> dict[Hashable, ResultDelta]:
-        """Drop the monomials that use the edge from every row indexed
-        under it, delete rows left at zero, and unindex what is gone."""
+    def cut(self, edge_id: int) -> dict[Hashable, ResultDelta]:
+        """What pruning the edge does to each row indexed under it: the
+        surviving polynomial, or the row's removal.  Changes nothing."""
         report: dict[Hashable, ResultDelta] = {}
-        by_edge = self.by_edge
-        bucket = by_edge.pop(edge_id, None)
+        bucket = self.by_edge.get(edge_id)
         if bucket is None:
             return report
-        for entry in bucket_entries(bucket):
-            name, row = entry
-            rows = self.groups[name]
-            old = rows[row]
+        groups = self.groups
+        for name, row in bucket_entries(bucket):
+            old = groups[name][row]
             delta = report.get(name)
             if delta is None:
                 delta = report[name] = ResultDelta()
@@ -296,15 +303,36 @@ class ProvTable:
             # the edge, so it goes without a prune
             new = old.prune(edge_id) if len(old.terms) > 1 else _ZERO
             if new:
-                rows[row] = new
                 delta.pruned[row] = new
-                gone = old.edges() - new.edges()
             else:
-                del rows[row]
                 delta.removed[row] = old
-                gone = (eid for mono, _ in old.terms for eid, _ in mono)
-            for eid in gone:  # edge_id itself is unindexed already
-                bucket_discard(by_edge, eid, entry)
+        return report
+
+    def commit(self, edge_id: int, report: dict[Hashable, ResultDelta]) -> None:
+        """Apply a `cut` of the edge: store each surviving polynomial,
+        delete each removed row, and unindex what is gone."""
+        by_edge = self.by_edge
+        by_edge.pop(edge_id, None)
+        for name, delta in report.items():
+            rows = self.groups[name]
+            for row, new in delta.pruned.items():
+                gone = rows[row].edges() - new.edges()
+                rows[row] = new
+                for eid in gone:  # edge_id itself is unindexed already
+                    bucket_discard(by_edge, eid, (name, row))
+            for row, old in delta.removed.items():
+                del rows[row]
+                for mono, _ in old.terms:
+                    for eid, _ in mono:
+                        bucket_discard(by_edge, eid, (name, row))
+
+    def prune(self, edge_id: int) -> dict[Hashable, ResultDelta]:
+        """Drop the monomials that use the edge from every row indexed
+        under it, delete rows left at zero, and unindex what is gone:
+        the whole `cut` is computed before the table changes."""
+        report = self.cut(edge_id)
+        if report:
+            self.commit(edge_id, report)
         return report
 
     def audit(self) -> list[str]:

@@ -146,11 +146,16 @@ class KnowledgeGraph:
     def insert_edge(self, subject: int, predicate: int, obj: int) -> int:
         eid = self._next_id
         self._next_id += 1
-        self.mutations += 1
-        self.edges[eid] = Edge(eid, subject, predicate, obj)
-        for index, key in self._buckets(subject, predicate, obj):
-            bucket_add(index, key, eid)
+        self.put_edge(Edge(eid, subject, predicate, obj))
         return eid
+
+    def put_edge(self, edge: Edge) -> None:
+        """Store and index an edge under its own id: a new one, or a
+        deleted one put back."""
+        self.mutations += 1
+        self.edges[edge.id] = edge
+        for index, key in self._buckets(edge.subject, edge.predicate, edge.object):
+            bucket_add(index, key, edge.id)
 
     def insert_triple(self, subject: str, predicate: str, obj: str) -> int:
         return self.insert_edge(
@@ -199,6 +204,12 @@ class KnowledgeGraph:
         else:
             return set(self.edges)
         return () if bucket is None else bucket_entries(bucket)
+
+    def endpoint_index(self, subject: bool) -> dict:
+        """The live (subject, predicate) index, or the (predicate, object)
+        one, key -> bucket of edge ids, for a caller that probes it once
+        per row; it must not mutate it."""
+        return self._by_sp if subject else self._by_po
 
     def lookup(
         self, s: int | None = None, p: int | None = None, o: int | None = None

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from kgprov import maintenance
+from kgprov import evaluate, maintenance
 from kgprov.evaluate import evaluate_patterns, materialize_plan
 from kgprov.maintenance import IN, OUT, Engine
 from kgprov.planner import merge_into_global, select_best_plan
@@ -21,7 +21,7 @@ from kgprov.query import (
     Var,
     parse_query,
 )
-from kgprov.store import KnowledgeGraph
+from kgprov.store import KnowledgeGraph, bucket_add
 from kgprov.subquery import SubqueryType, generate_subqueries
 from kgprov.workload import random_graph, random_query
 
@@ -242,6 +242,52 @@ def test_failed_insert_leaves_engine_unchanged(registered, running_query, monkey
     monkeypatch.undo()
     report = engine.insert_triple("Sarawagi", "worksIn", "IITB")
     assert len(report.added[1]) == 2
+    assert answer_dict(engine, 1) == brute_force_answers(running_query, g)
+    assert engine.index_audit() == []
+
+
+def engine_state(engine):
+    """Everything a delete may change, copied: the store's edges and
+    indexes, every plan table and answer group, and both edge indexes."""
+    g = engine.graph
+
+    def copied(index):
+        return {k: set(b) if b.__class__ is set else b for k, b in index.items()}
+
+    return (
+        dict(g.edges),
+        [copied(index) for index, _ in g._buckets(None, None, None)],
+        {node: dict(node.table) for node in engine.plan.nodes.values()},
+        {qid: dict(rq.answers) for qid, rq in engine.queries.items()},
+        copied(engine.plan.edge_rows),
+        copied(engine.edge_to_result),
+    )
+
+
+@pytest.mark.parametrize("phase", ["answer prune", "plan prune"])
+def test_failed_delete_leaves_engine_unchanged(registered, running_query, monkeypatch, phase):
+    engine, _ = registered
+    g = engine.graph
+    before = engine_state(engine)
+
+    def boom(*args):
+        raise RuntimeError("injected fault")
+
+    if phase == "answer prune":
+        # the answer of e14 has two monomials, so its prune runs first
+        monkeypatch.setattr(Polynomial, "prune", boom)
+    else:
+        # after the answers' prune is computed
+        monkeypatch.setattr(maintenance, "delta_delete", boom)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        engine.delete_edge(14)
+    assert engine_state(engine) == before
+    assert engine.index_audit() == []
+
+    monkeypatch.undo()
+    report = engine.delete_edge(14)
+    [(row, poly)] = report.pruned[1]
+    assert poly == Polynomial.parse("e2*e3*e6*e8*e17")
     assert answer_dict(engine, 1) == brute_force_answers(running_query, g)
     assert engine.index_audit() == []
 
@@ -502,21 +548,24 @@ def fresh_node_table(node, g):
 
 
 def test_each_plan_node_materialized_once(engine, monkeypatch):
+    """Every table-holding plan node is filled exactly once; no plain
+    leaf is scanned into a table, as joins read it from the store."""
     g = engine.graph
     filled = collections.Counter()  # node -> tables written
-    store_reads = []  # store lookups per materialization
+    scanned = []  # leaves scanned into a table
     real_materialize = maintenance.materialize_plan
+    real_scan = evaluate.materialize_node
+    monkeypatch.setattr(
+        evaluate, "materialize_node", lambda node, graph: scanned.append(node) or real_scan(node, graph)
+    )
 
     def counting_materialize(plan, graph):
-        reads = []
-        real_add, real_lookup = plan.rows.add, graph.lookup_ids
+        real_add = plan.rows.add
         plan.rows.add = lambda node, rows: filled.update([node]) or real_add(node, rows)
-        graph.lookup_ids = lambda *a: reads.append(a) or real_lookup(*a)
         try:
             return real_materialize(plan, graph)
         finally:
-            del plan.rows.add, graph.lookup_ids
-            store_reads.append(len(reads))
+            del plan.rows.add
 
     monkeypatch.setattr(maintenance, "materialize_plan", counting_materialize)
 
@@ -532,12 +581,14 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
     ]
     assert empty.table == {}
     assert empty.roots == 3
-    assert filled == collections.Counter(engine.plan.nodes.values())
-    leaves = sum(1 for n in engine.plan.nodes.values() if n.is_leaf)
-    assert sum(store_reads) == leaves  # one scan per leaf, none per join
+    nodes = engine.plan.nodes.values()
+    assert all(n.plain for n in nodes if n.is_leaf)
+    assert filled == collections.Counter(n for n in nodes if not n.plain)
+    assert scanned == []
 
     # every plan node of this query already exists: its registration
-    # reads nothing from the store, answers included
+    # fills no table, and its answer join reads only its two plain
+    # leaves from the store
     nodes_before = set(engine.plan.nodes)
     lookups = []
     real_lookup = KnowledgeGraph.lookup_ids
@@ -546,9 +597,10 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
     )
     engine.register_query(parse_query("SELECT ?x WHERE { ?x hadAdvisor ?y . ?z hasDegree ?y . }"))
     assert set(engine.plan.nodes) == nodes_before
-    assert store_reads[-1] == 0
-    assert lookups == []
-    assert filled == collections.Counter(engine.plan.nodes.values())
+    assert lookups
+    assert {p for _, p, _ in lookups} == {g.predicates.get("hadAdvisor"), g.predicates.get("hasDegree")}
+    assert filled == collections.Counter(n for n in nodes if not n.plain)
+    assert scanned == []
     for node in engine.plan.nodes.values():
         assert node.table == fresh_node_table(node, g)
     assert engine.index_audit() == []
@@ -687,6 +739,29 @@ def test_audit_flags_dead_plan_node(registered):
         f"plan node {dead!r} feeds no answer join",
         f"plan node {dead!r} roots 0 answer joins, not 1",
     ]
+
+
+@pytest.mark.parametrize("plant", ["group", "edge entry", "probe index"])
+def test_audit_flags_rows_held_by_plain_leaf(registered, plant):
+    engine, _ = registered
+    plan = engine.plan
+    leaf = next(n for n in plan.nodes.values() if n.plain)
+    row, poly = next(iter(leaf.table.items()))
+    assert engine.index_audit() == []
+    if plant == "group":
+        plan.rows.group(leaf)  # an empty group: no rows to mismatch
+        want = f"plan plain leaf {leaf!r} holds a table group"
+    elif plant == "edge entry":
+        [(eid, _)] = poly.terms[0][0]
+        bucket_add(plan.edge_rows, eid, (leaf, row))
+        want = f"plan plain leaf {leaf!r} holds edge entries"
+    else:
+        evaluate.node_index(leaf, (0,))  # right for the leaf's rows
+        want = f"plan plain leaf {leaf!r} holds a probe index"
+    problems = engine.index_audit()
+    assert want in problems
+    if plant != "edge entry":  # an entry with no row is also a mismatch
+        assert problems == [want]
 
 
 def test_audit_flags_store_corruption(registered):

@@ -239,11 +239,13 @@ def from_ref(ref: dict) -> Polynomial:
 @given(ref_polys, ref_polys, st.integers(1, 6))
 @example({((3, 1),): 1}, {((3, 1),): 1}, 3)  # e3*e3 = e3^2, e3+e3 = 2*e3
 @example({((1, 1), (3, 2)): 4}, {((2, 1),): 3}, 5)  # prune of an absent edge
+@example({((1, 1),): 1, ((2, 1),): 1}, {((1, 1),): 1}, 1)  # e1 * (e1 + e2) reorders terms
 def test_fast_paths_match_reference(a, b, eid):
     pa, pb = from_ref(a), from_ref(b)
     assert_matches(pa, a)
     assert_matches(pa + pb, ref_add(a, b))
     assert_matches(pa * pb, ref_mul(a, b))
+    assert_matches(pa.times_edge(eid), ref_mul(a, {((eid, 1),): 1}))
     assert_matches(pa.prune(eid), ref_prune(a, eid))
     assert pa.edges() == ref_edges(a)
     if eid not in ref_edges(a):

@@ -17,7 +17,8 @@ from hypothesis.stateful import (
 )
 
 from kgprov.maintenance import Engine
-from kgprov.query import EXACT_CANONICAL_LIMIT, QueryError, canonicalize, parse_query
+from kgprov.query import EXACT_CANONICAL_LIMIT, QueryError, Var, canonicalize, parse_query
+from kgprov.store import KnowledgeGraph
 from kgprov.subquery import generate_subqueries
 
 from conftest import brute_force_answers
@@ -36,6 +37,9 @@ CHAIN_QUERY = "SELECT ?x0 ?x{n} WHERE {{ {body} }}".format(
 MAX_QUERIES = 6
 # code paths a run must have reached (see test_engine_tracks_oracle_...)
 REACHED: set[str] = set()
+# store lookups with both endpoints bound, counted by the test; during
+# an insert only a probe into a plain leaf makes one
+TWO_ENDPOINT_READS = [0]
 
 triples = st.tuples(
     st.sampled_from(NODES), st.sampled_from(PREDS + CHAIN_PREDS[:2]), st.sampled_from(NODES)
@@ -65,6 +69,16 @@ def queries(draw):
     return parse_query(
         f"SELECT {' '.join('?' + v for v in projection)} WHERE {{ {' . '.join(patterns)} }}"
     )
+
+
+def matches(p, t) -> bool:
+    """Does the triple (s, pred, o) match pattern p?"""
+    s, pred, o = t
+    if p.predicate != pred:
+        return False
+    if isinstance(p.subject, Var) and p.subject == p.object:
+        return s == o
+    return all(isinstance(term, Var) or term == v for term, v in ((p.subject, s), (p.object, o)))
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -118,22 +132,32 @@ class EngineMachine(RuleBasedStateMachine):
         ):
             REACHED.add("heuristic canonical form")
 
+    def _insert(self, t):
+        reads = TWO_ENDPOINT_READS[0]
+        self.engine.insert_triple(*t)
+        if TWO_ENDPOINT_READS[0] > reads:
+            REACHED.add("two-endpoint store probe")
+        if any(
+            sum(matches(p, t) for p in rq.query.patterns) >= 2
+            for rq in self.engine.queries.values()
+        ):
+            REACHED.add("edge matches two patterns")
+        self.updated = True
+
     @rule(t=triples)
     def insert(self, t):
-        self.engine.insert_triple(*t)
-        self.updated = True
+        self._insert(t)
 
     @precondition(lambda self: self.engine.graph.edges)
     @rule(data=st.data())
     def insert_duplicate(self, data):
         g = self.engine.graph
         e = g.edges[data.draw(st.sampled_from(sorted(g.edges)))]
-        self.engine.insert_triple(
-            g.node_name(e.subject), g.predicate_name(e.predicate), g.node_name(e.object)
+        self._insert(
+            (g.node_name(e.subject), g.predicate_name(e.predicate), g.node_name(e.object))
         )
         if self.engine.queries:
             REACHED.add("duplicate triple")
-        self.updated = True
 
     @precondition(lambda self: self.engine.graph.edges)
     @rule(data=st.data())
@@ -154,8 +178,15 @@ class EngineMachine(RuleBasedStateMachine):
         assert engine.index_audit() == []
 
 
-def test_engine_tracks_oracle_under_random_operations():
+def test_engine_tracks_oracle_under_random_operations(monkeypatch):
     REACHED.clear()
+    real_lookup = KnowledgeGraph.lookup_ids
+
+    def counting_lookup(g, s=None, p=None, o=None):
+        TWO_ENDPOINT_READS[0] += s is not None and o is not None
+        return real_lookup(g, s, p, o)
+
+    monkeypatch.setattr(KnowledgeGraph, "lookup_ids", counting_lookup)
     run_state_machine_as_test(
         EngineMachine,
         settings=settings(
@@ -168,6 +199,8 @@ def test_engine_tracks_oracle_under_random_operations():
         ),
     )
     assert REACHED == {
+        "two-endpoint store probe",
+        "edge matches two patterns",
         "self-loop",
         "duplicate triple",
         "repeated predicate",
