@@ -234,13 +234,13 @@ def dump(graph_path, query_paths, what):
     if what == "stats":
         g = _load_graph(graph_path)
         stats = compute_statistics(g)
-        for pred in sorted(stats.pred_counts):
+        for pred in stats.predicates():
             click.echo(
                 json.dumps(
                     {
                         "predicate": pred,
-                        "edges": stats.pred_counts[pred],
-                        "distinct_pairs": len(stats.pred_pairs[pred]),
+                        "edges": stats.pred_count(pred),
+                        "distinct_pairs": len(stats.pairs(pred)),
                     }
                 )
             )

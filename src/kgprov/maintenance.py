@@ -39,6 +39,7 @@ from .planner import (
     GlobalPlan,
     JoinProbe,
     PlanNode,
+    StatsCatalog,
     compute_statistics,
     join_probe,
     merge_into_global,
@@ -185,7 +186,7 @@ class Engine:
         self.queries: dict[int, RegisteredQuery] = {}
         self._next_qid = 1
         self._registered_forms: set = set()
-        self._stats_cache: tuple[int, object] | None = None
+        self._stats_cache: StatsCatalog | None = None
         # every query's answers, grouped by query id
         self.answers = ProvTable()
         # predicate -> the registered queries that mention it
@@ -273,13 +274,13 @@ class Engine:
             subquery_count=len(subqueries),
         )
 
-    def _current_stats(self):
-        """Statistics snapshot, reused while the graph is unchanged
-        (plans are never re-optimized after updates anyway)."""
-        version = self.graph.mutations
-        if self._stats_cache is None or self._stats_cache[0] != version:
-            self._stats_cache = (version, compute_statistics(self.graph))
-        return self._stats_cache[1]
+    def _current_stats(self) -> StatsCatalog:
+        """Statistics of the current graph, one catalog reused while the
+        graph is unchanged (plans are never re-optimized after updates
+        anyway)."""
+        if self._stats_cache is None or self._stats_cache.version != self.graph.mutations:
+            self._stats_cache = compute_statistics(self.graph)
+        return self._stats_cache
 
     @staticmethod
     def _answer_join(rq: RegisteredQuery) -> dict[Row, Polynomial]:

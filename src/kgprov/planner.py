@@ -26,69 +26,108 @@ from .store import KnowledgeGraph, bucket_add, bucket_entries, bucket_faults
 
 
 class StatsCatalog:
-    """Characteristic-set statistics snapshot of a graph.
+    """Characteristic-set statistics of a graph, read from the store's
+    own indexes when planning first asks for them.
 
     S_c(v) is the set of predicate labels on v's outgoing edges; counts of
     (subject, object) pairs grouped by (S_c(s), S_c(o), predicate) drive
-    the cardinality estimates.  Built once; never refreshed per update.
+    the cardinality estimates.  A predicate's edge count is its bucket's
+    size; its subjects and distinct (s, o) pairs come from one scan of
+    that bucket, kept for later reads; S_c(v) comes from v's subject
+    bucket.  So planning reads only the predicates it plans.  A catalog
+    describes the graph as it was when built: any read after the graph
+    changes raises RuntimeError, so estimates never mix two versions.
     """
 
     def __init__(self, g: KnowledgeGraph):
-        self.pred_counts: dict[str, int] = {}
-        self.pred_subjects: dict[str, set[int]] = {}
-        self.pred_pairs: dict[str, set[tuple[int, int]]] = {}
-        char: dict[int, set[str]] = {}
-        for e in g.edges.values():
-            pname = g.predicate_name(e.predicate)
-            self.pred_counts[pname] = self.pred_counts.get(pname, 0) + 1
-            self.pred_subjects.setdefault(pname, set()).add(e.subject)
-            self.pred_pairs.setdefault(pname, set()).add((e.subject, e.object))
-            char.setdefault(e.subject, set()).add(pname)
-        self.char_sets: dict[int, frozenset[str]] = {
-            v: frozenset(s) for v, s in char.items()
-        }
-        self._star_cache: dict[frozenset[str], int] = {}
+        self.graph = g
+        self.version = g.mutations
+        # predicate -> (its distinct (s, o) pairs, its subjects)
+        self._scans: dict[str, tuple[set[tuple[int, int]], set[int]]] = {}
+        # star predicates -> the subjects whose S_c covers them
+        self._covers: dict[frozenset[str], set[int]] = {}
         self._pair_cache: dict[tuple, int] = {}
 
+    def _check(self) -> None:
+        if self.graph.mutations != self.version:
+            raise RuntimeError(
+                f"statistics of graph version {self.version} read at "
+                f"version {self.graph.mutations}"
+            )
+
+    def _ids(self, pred: str):
+        p = self.graph.predicates.get(pred)
+        return () if p is None else self.graph.lookup_ids(p=p)
+
+    def _scan(self, pred: str) -> tuple[set[tuple[int, int]], set[int]]:
+        got = self._scans.get(pred)
+        if got is None:
+            edges = self.graph.edges
+            pairs = {(e.subject, e.object) for e in map(edges.__getitem__, self._ids(pred))}
+            got = self._scans[pred] = (pairs, {s for s, _ in pairs})
+        return got
+
+    def predicates(self) -> list[str]:
+        """Names of the predicates with at least one edge, sorted."""
+        self._check()
+        return sorted(name for name in self.graph.predicates.names() if self._ids(name))
+
+    def pred_count(self, pred: str | None) -> int:
+        """Edges labelled `pred`, or every edge when it is None."""
+        self._check()
+        return self.graph.num_edges if pred is None else len(self._ids(pred))
+
+    def pairs(self, pred: str) -> set[tuple[int, int]]:
+        """Distinct (s, o) pairs joined by `pred`."""
+        self._check()
+        return self._scan(pred)[0]
+
+    def subjects(self, pred: str) -> set[int]:
+        """Subjects of `pred`'s edges."""
+        self._check()
+        return self._scan(pred)[1]
+
     def char_set(self, node: int) -> frozenset[str]:
-        return self.char_sets.get(node, frozenset())
+        """S_c(node)."""
+        self._check()
+        g = self.graph
+        return frozenset(g.predicate_name(g.edges[eid].predicate) for eid in g.lookup_ids(s=node))
+
+    def _cover(self, preds: frozenset[str]) -> set[int]:
+        """Subjects whose characteristic set contains the non-empty `preds`."""
+        cover = self._covers.get(preds)
+        if cover is None:
+            sets = sorted((self._scan(p)[1] for p in preds), key=len)
+            cover = sets[0]
+            for s in sets[1:]:
+                if not cover:
+                    break
+                cover = cover & s
+            self._covers[preds] = cover
+        return cover
 
     def star_count(self, preds: frozenset[str]) -> int:
         """Number of subjects whose characteristic set contains `preds`."""
-        if not preds:
-            return 0
-        cached = self._star_cache.get(preds)
-        if cached is not None:
-            return cached
-        sets = [self.pred_subjects.get(p) for p in preds]
-        if any(s is None for s in sets):
-            count = 0
-        else:
-            sets.sort(key=len)
-            acc = sets[0]
-            for s in sets[1:]:
-                acc = acc & s
-                if not acc:
-                    break
-            count = len(acc)
-        self._star_cache[preds] = count
-        return count
+        self._check()
+        return len(self._cover(preds)) if preds else 0
 
     def pair_count(
         self, s_preds: frozenset[str], o_preds: frozenset[str], pred: str
     ) -> int:
         """Distinct (s, o) pairs joined by `pred` with S_c(s) ⊇ s_preds
         and S_c(o) ⊇ o_preds."""
+        self._check()
         key = (s_preds, o_preds, pred)
         cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        count = 0
-        for s, o in self.pred_pairs.get(pred, ()):
-            if s_preds <= self.char_set(s) and o_preds <= self.char_set(o):
-                count += 1
-        self._pair_cache[key] = count
-        return count
+        if cached is None:
+            pairs = self._scan(pred)[0]
+            subj = self._cover(s_preds) if s_preds else None
+            obj = self._cover(o_preds) if o_preds else None
+            cached = self._pair_cache[key] = sum(
+                1 for s, o in pairs
+                if (subj is None or s in subj) and (obj is None or o in obj)
+            )
+        return cached
 
 
 def compute_statistics(g: KnowledgeGraph) -> StatsCatalog:
@@ -131,9 +170,7 @@ def estimate_cardinality(
         return 0.0
     if len(patterns) == 1:
         p = patterns[0].predicate
-        return float(stats.pred_counts.get(p, 0)) if isinstance(p, str) else float(
-            sum(stats.pred_counts.values())
-        )
+        return float(stats.pred_count(p if isinstance(p, str) else None))
     frags = _star_fragments(patterns)
     if len(frags) == 1:
         est = float(stats.star_count(_frag_preds(frags[0])))
@@ -179,33 +216,33 @@ def select_best_plan(
     shares a variable with the prefix before it.  A candidate ranks by
     (estimate of the grown prefix, its canonical key, the canonical key
     of the added pattern); an exact tie goes to the lowest ordinals.
-    Takes O(n^2) estimates and is deterministic given (patterns, stats).
+    The keys are computed only for candidates tied at the least
+    estimate.  Takes O(n^2) estimates and is deterministic given
+    (patterns, stats).
     """
     pats = _by_ordinal(patterns)
     if len(pats) < 2:
         return pats
-    leaf_keys = {p.ordinal: canonicalize([p]).key for p in pats}
 
-    def rank(prefix: list[TriplePattern], added: TriplePattern) -> tuple:
-        grown = _by_ordinal(prefix + [added])
-        return (
-            estimate_cardinality(grown, stats),
-            canonicalize(grown).key,
-            leaf_keys[added.ordinal],
-        )
+    def cheapest(cands: list[tuple[list[TriplePattern], TriplePattern]]):
+        grown = [_by_ordinal(prefix + [added]) for prefix, added in cands]
+        ests = [estimate_cardinality(g, stats) for g in grown]
+        low = min(ests)
+        tied = [i for i, est in enumerate(ests) if est == low]
+        # min keeps the first of equal keys, so candidates go in ordinal order
+        best = tied[0] if len(tied) == 1 else min(tied, key=lambda i: (
+            canonicalize(grown[i]).key, canonicalize([cands[i][1]]).key
+        ))
+        return cands[best]
 
-    # min keeps the first of equal ranks, so candidates go in ordinal order
-    order = list(min(
-        ((a, b) for a, b in combinations(pats, 2) if a.variables() & b.variables()),
-        key=lambda ab: rank([ab[0]], ab[1]),
-    ))
-    joined = order[0].variables() | order[1].variables()
+    prefix, added = cheapest([
+        ([a], b) for a, b in combinations(pats, 2) if a.variables() & b.variables()
+    ])
+    order = prefix + [added]
+    joined = order[0].variables() | added.variables()
     rest = [p for p in pats if p not in order]
     while rest:
-        nxt = min(
-            (p for p in rest if p.variables() & joined),
-            key=lambda p: rank(order, p),
-        )
+        _, nxt = cheapest([(order, p) for p in rest if p.variables() & joined])
         order.append(nxt)
         rest.remove(nxt)
         joined |= nxt.variables()

@@ -153,9 +153,13 @@ class KnowledgeGraph:
         """Store and index an edge under its own id: a new one, or a
         deleted one put back."""
         self.mutations += 1
-        self.edges[edge.id] = edge
-        for index, key in self._buckets(edge.subject, edge.predicate, edge.object):
-            bucket_add(index, key, edge.id)
+        eid, s, p, o = edge
+        self.edges[eid] = edge
+        bucket_add(self._by_sp, (s, p), eid)
+        bucket_add(self._by_po, (p, o), eid)
+        bucket_add(self._by_s, s, eid)
+        bucket_add(self._by_p, p, eid)
+        bucket_add(self._by_o, o, eid)
 
     def insert_triple(self, subject: str, predicate: str, obj: str) -> int:
         return self.insert_edge(

@@ -508,7 +508,7 @@ def test_statistics_follow_every_update(engine):
     engine.delete_edge(coauthor[0])
     engine.delete_edge(coauthor[1])
     stats = engine._current_stats()
-    assert stats.pred_counts["coAuthor"] == len(coauthor) - 2
+    assert stats.pred_count("coAuthor") == len(coauthor) - 2
 
 
 def test_update_releases_statistics_catalog(engine, running_query, monkeypatch):
@@ -528,7 +528,7 @@ def test_update_releases_statistics_catalog(engine, running_query, monkeypatch):
     engine.register_query(parse_query("SELECT ?a WHERE { ?a coAuthor ?b . ?b worksIn ?w . }"))
     assert len(built) == 2
     coauthor = [e.id for e in g.lookup(p=g.predicates.get("coAuthor"))]
-    assert engine._current_stats().pred_counts["coAuthor"] == len(coauthor)
+    assert engine._current_stats().pred_count("coAuthor") == len(coauthor)
 
     engine.delete_edge(coauthor[0])
     assert engine._stats_cache is None

@@ -6,6 +6,9 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
+
+from kgprov.maintenance import Engine
 from kgprov.planner import (
     GlobalPlan,
     StatsCatalog,
@@ -16,8 +19,10 @@ from kgprov.planner import (
     patterns_from_key,
     select_best_plan,
 )
-from kgprov.query import TriplePattern, Var, canonicalize
+from kgprov.query import TriplePattern, Var, canonicalize, parse_query
 from kgprov.store import KnowledgeGraph
+
+from conftest import brute_force_answers
 
 
 def make(patterns):
@@ -37,7 +42,7 @@ def pair_class_counts(
     """Exact grouping of a predicate's (s, o) pairs by their
     characteristic-set pair; the raw statistic behind pair_count."""
     out: dict[tuple[frozenset[str], frozenset[str]], int] = {}
-    for s, o in stats.pred_pairs.get(pred, ()):
+    for s, o in stats.pairs(pred):
         k = (stats.char_set(s), stats.char_set(o))
         out[k] = out.get(k, 0) + 1
     return out
@@ -52,9 +57,9 @@ def test_statistics_against_grouping_oracle(academia):
     for e in edges:
         by_pred.setdefault(g.predicate_name(e.predicate), []).append(e)
     for pred, es in by_pred.items():
-        assert stats.pred_counts[pred] == len(es)
-        assert stats.pred_subjects[pred] == {e.subject for e in es}
-        assert stats.pred_pairs[pred] == {(e.subject, e.object) for e in es}
+        assert stats.pred_count(pred) == len(es)
+        assert stats.subjects(pred) == {e.subject for e in es}
+        assert stats.pairs(pred) == {(e.subject, e.object) for e in es}
 
     # characteristic set = outgoing predicate labels
     for v in range(g.num_vertices):
@@ -76,7 +81,7 @@ def test_statistics_against_grouping_oracle(academia):
     # pair counts against the exact grouped statistic
     for pred in by_pred:
         classes = pair_class_counts(stats, pred)
-        assert sum(classes.values()) == len(stats.pred_pairs[pred])
+        assert sum(classes.values()) == len(stats.pairs(pred))
         for (s_cs, o_cs), n in classes.items():
             assert stats.pair_count(s_cs, o_cs, pred) >= n
 
@@ -85,6 +90,137 @@ def test_star_count_of_unknown_predicate_is_zero(academia):
     stats = compute_statistics(academia)
     assert stats.star_count(frozenset({"nosuch"})) == 0
     assert stats.star_count(frozenset()) == 0
+
+
+def eager_statistics(g: KnowledgeGraph):
+    """Reference statistics from one pass over every edge: per predicate
+    its edge count, subjects and distinct (s, o) pairs, and every
+    subject's characteristic set."""
+    counts, subjects, pairs, char = {}, {}, {}, {}
+    for e in g.edges.values():
+        pname = g.predicate_name(e.predicate)
+        counts[pname] = counts.get(pname, 0) + 1
+        subjects.setdefault(pname, set()).add(e.subject)
+        pairs.setdefault(pname, set()).add((e.subject, e.object))
+        char.setdefault(e.subject, set()).add(pname)
+    return counts, subjects, pairs, {v: frozenset(c) for v, c in char.items()}
+
+
+def test_statistics_oracle_under_updates():
+    """After random inserts, deletes and put-backs, a fresh catalog
+    agrees with brute-force counts over `g.edges` on every predicate and
+    on every one- and two-predicate star and pair; a catalog read after
+    the next update raises."""
+    rng = random.Random(12)
+    g = KnowledgeGraph()
+    names = ["p0", "p1", "p2", "p3"]
+    nodes = [f"n{i}" for i in range(8)]
+
+    def insert():
+        g.insert_triple(rng.choice(nodes), rng.choice(names), rng.choice(nodes))
+
+    for _ in range(40):
+        insert()
+    deleted = []
+    for step in range(6):
+        for _ in range(30):
+            r = rng.random()
+            if r < 0.4 and g.edges:
+                deleted.append(g.delete_edge(rng.choice(sorted(g.edges))))
+            elif r < 0.5 and deleted:
+                g.put_edge(deleted.pop(rng.randrange(len(deleted))))
+            else:
+                insert()
+        if step == 3:  # p3 stays interned with no edge left
+            for eid in list(g.lookup_ids(p=g.predicates.get("p3"))):
+                deleted.append(g.delete_edge(eid))
+        counts, subjects, pairs, char = eager_statistics(g)
+        stats = compute_statistics(g)
+        assert stats.predicates() == sorted(counts)
+        for pred in names + ["nosuch"]:
+            assert stats.pred_count(pred) == counts.get(pred, 0)
+            assert stats.subjects(pred) == subjects.get(pred, set())
+            assert stats.pairs(pred) == pairs.get(pred, set())
+        assert stats.pred_count(None) == len(g.edges)
+        for v in range(g.num_vertices):
+            assert stats.char_set(v) == char.get(v, frozenset())
+        preds = [frozenset(c) for k in (0, 1, 2) for c in combinations(names + ["nosuch"], k)]
+        for star in preds:
+            want = sum(1 for cs in char.values() if star <= cs) if star else 0
+            assert stats.star_count(star) == want
+        for s_preds in preds:
+            for o_preds in preds:
+                for pred in names:
+                    want = sum(
+                        1 for s, o in pairs.get(pred, ())
+                        if s_preds <= char.get(s, frozenset()) and o_preds <= char.get(o, frozenset())
+                    )
+                    assert stats.pair_count(s_preds, o_preds, pred) == want
+
+        insert()
+        one = frozenset({"p0"})
+        for read in (
+            stats.predicates,
+            lambda: stats.pred_count("p0"),
+            lambda: stats.pairs("p0"),
+            lambda: stats.subjects("p0"),
+            lambda: stats.char_set(0),
+            lambda: stats.star_count(one),  # cached above, stale now
+            lambda: stats.pair_count(one, one, "p0"),
+        ):
+            with pytest.raises(RuntimeError, match="statistics of graph version"):
+                read()
+
+
+def test_registration_reads_only_the_planned_predicates(monkeypatch):
+    """Planning a query over two predicates reads only their edges and
+    buckets, however many predicates the graph holds."""
+    rng = random.Random(3)
+    g = KnowledgeGraph()
+    for _ in range(600):
+        g.insert_triple(f"n{rng.randrange(40)}", f"p{rng.randrange(30)}", f"n{rng.randrange(40)}")
+    planned = {g.predicates.get("p0"), g.predicates.get("p1")}
+    read: set = set()
+
+    class EdgeSpy(dict):
+        """`g.edges` that records the predicate of every edge read."""
+
+        def __getitem__(self, eid):
+            edge = dict.__getitem__(self, eid)
+            read.add(edge.predicate)
+            return edge
+
+        def get(self, eid, default=None):
+            return self[eid] if eid in self else default
+
+        def _scan(self):
+            read.add("every edge")
+            return self
+
+        def __iter__(self):
+            return dict.__iter__(self._scan())
+
+        def values(self):
+            return dict.values(self._scan())
+
+        def items(self):
+            return dict.items(self._scan())
+
+    real_lookup = KnowledgeGraph.lookup_ids
+
+    def spying_lookup(graph, s=None, p=None, o=None):
+        read.add(p)
+        return real_lookup(graph, s, p, o)
+
+    engine = Engine(g)
+    g.edges = EdgeSpy(g.edges)
+    monkeypatch.setattr(KnowledgeGraph, "lookup_ids", spying_lookup)
+    receipt = engine.register_query(parse_query("SELECT ?x ?z WHERE { ?x p0 ?y . ?y p1 ?z . }"))
+    assert read and read <= planned
+    g.edges = dict(g.edges)
+    monkeypatch.undo()
+    q = parse_query("SELECT ?x ?z WHERE { ?x p0 ?y . ?y p1 ?z . }")
+    assert len(receipt.answers) == len(brute_force_answers(q, g))
 
 
 # ---------------------------------------------------------------------------
