@@ -185,14 +185,10 @@ def _slot_of(var: Var) -> int:
 
 
 def materialize_node(node: PlanNode, g: KnowledgeGraph) -> dict[tuple[int, ...], Polynomial]:
-    """Scan a leaf's single pattern from the store, keyed by var slot."""
-    table = scan_pattern(node.patterns[0], g)
-    order = sorted(range(len(table.vars)), key=lambda i: int(table.vars[i][1:]))
-    if order == list(range(len(order))):
-        return table.rows
-    return {
-        tuple(row[i] for i in order): poly for row, poly in table.rows.items()
-    }
+    """Scan a leaf's single pattern from the store, keyed by var slot:
+    `scan_pattern` reports variables by first appearance over (s, p, o),
+    the order that numbers a leaf's canonical variables."""
+    return scan_pattern(node.patterns[0], g).rows
 
 
 def join_tables(
@@ -387,8 +383,6 @@ def compute_insert_deltas(
     The edge must already be present in the store: plain leaves are read
     from it without the edge, and `_leaf_delta` gives their delta."""
     pred = g.predicate_name(e.predicate)
-    if not plan.pred_index.get(pred):
-        return {}
     deltas: dict = {}
     for node in plan.topo_order():
         if pred not in node.predicates:

@@ -1,21 +1,22 @@
 """Standing-query maintenance engine.
 
 A query's answers are the projection of one join of two plan nodes: the
-root of a one-pattern-removed subquery k that keeps a single component,
-and the leaf of pattern k.  Registration merges only that component's
-join chain and that leaf into the shared global plan, and materializes
-what is new.  Each edge insertion is answered by the plan's delta rule
-applied to the join, and each deletion by pruning the polynomials of
-the answers and the plan tables, two provenance-indexed tables -- no
-query is ever re-executed from scratch.  A plain leaf `?x p ?y` keeps
+leaf of a pattern k whose removal leaves the other patterns
+variable-connected, and the root of those other patterns.  Registration
+merges only their join chain and that leaf into the shared global plan,
+and materializes what is new.  Each edge insertion is answered by the
+plan's delta rule applied to the join, and each deletion by pruning the
+polynomials of the answers and the plan tables, two provenance-indexed
+tables -- no query is ever re-executed from scratch.  A plain leaf `?x p ?y` keeps
 no table: the answer join, and a single-pattern query's answers, read
 it from the store through its `LeafView`, so the store's own update is
 all it needs.
 
 Connection points (a subquery component's match waiting at a vertex for
 an edge with a given label and direction) are neither planned nor
-stored: `all_annotations` evaluates every subquery component from the
-store when asked, for inspection only.
+stored: `all_annotations` generates the one-pattern-removed subqueries
+and evaluates every component from the store when asked, for inspection
+only.  Registration generates no subquery.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .planner import (
 )
 from .provenance import Polynomial, ProvTable, Row
 from .query import (
-    PredicateMetadata,
     QueryError,
     QueryGraph,
     UnsupportedFeatureError,
@@ -124,8 +124,8 @@ class RegisteredQuery:
     qid: int
     query: QueryGraph
     # the answer join root ⋈ leaf: `leaf` is the plan leaf of a pattern k
-    # whose subquery keeps one component, `root` that subquery's root
-    # (None for a single-pattern query, whose answers are leaf rows)
+    # whose removal leaves the rest variable-connected, `root` the rest's
+    # root (None for a single-pattern query, whose answers are leaf rows)
     leaf: PlanNode
     root: PlanNode | None
     # (root rows probing the leaf, leaf rows probing the root); a join
@@ -137,30 +137,17 @@ class RegisteredQuery:
     answers: dict[Row, Polynomial] = field(default_factory=dict)
 
 
-def _anchors(sq: Subquery, ci: int) -> list[tuple[str | None, str | None, str, str]]:
-    """The connection points each match of component ci carries:
-    (endpoint variable, or None for a constant endpoint, the constant,
-    expected predicate, direction)."""
+def _anchors(sq: Subquery, ci: int) -> list[tuple[Var | str, str]]:
+    """Where each match of component ci waits: (endpoint, direction) for
+    every endpoint of the removed pattern that the component mentions, a
+    variable or a constant one of its patterns names, `out` at the
+    subject and `in` at the object.  Type II's lone far pattern waits
+    nowhere."""
+    if sq.sq_type is SubqueryType.II and ci == 1:
+        return []
     t = sq.removed_pattern
-    if sq.sq_type is SubqueryType.III:
-        sides = [("subject", "object")[ci]]
-    elif sq.sq_type is SubqueryType.IV:
-        sides = ["subject", "object"]
-    elif ci == 0:
-        # I and II: the removed pattern's endpoint in component 0 (a
-        # variable-connected query always has one)
-        sides = ["subject" if sq.subject_comp == 0 else "object"]
-    else:
-        sides = []  # the lone far pattern of Type II
-    out = []
-    for side in sides:
-        term = getattr(t, side)
-        direction = OUT if side == "subject" else IN
-        if isinstance(term, Var):
-            out.append((term.name, None, t.predicate, direction))
-        else:
-            out.append((None, term, t.predicate, direction))
-    return out
+    terms = {x for p in sq.components[ci] for x in (p.subject, p.object)}
+    return [(x, d) for x, d in ((t.subject, OUT), (t.object, IN)) if x in terms]
 
 
 def _project(rows: dict[Row, Polynomial], key: Callable[[Row], Row]) -> dict[Row, Polynomial]:
@@ -175,13 +162,8 @@ def _project(rows: dict[Row, Polynomial], key: Callable[[Row], Row]) -> dict[Row
 class Engine:
     """One graph, many standing queries; all updates flow through here."""
 
-    def __init__(
-        self,
-        graph: KnowledgeGraph | None = None,
-        metadata: PredicateMetadata | None = None,
-    ):
+    def __init__(self, graph: KnowledgeGraph | None = None):
         self.graph = graph if graph is not None else KnowledgeGraph()
-        self.metadata = metadata or PredicateMetadata()
         self.plan = GlobalPlan()
         self.queries: dict[int, RegisteredQuery] = {}
         self._next_qid = 1
@@ -216,33 +198,25 @@ class Engine:
         if form in self._registered_forms:
             raise QueryError("query already registered")
 
-        q.classification = classify_query(q, self.metadata)
+        q.classification = classify_query(q)
         qid = self._next_qid
         self._next_qid += 1
-
-        subqueries: list[Subquery] = []
-        if q.size >= 2:
-            try:
-                subqueries = generate_subqueries(q)
-            except ValueError as exc:
-                raise UnsupportedFeatureError(str(exc)) from exc
         stats = self._current_stats()
 
-        # the answer join root(k) ⋈ leaf(k): a subquery that keeps one
-        # component always exists (remove a leaf of a spanning tree of
-        # the patterns); a single-pattern query is its own leaf.  Only
-        # these two enter the plan; the other subqueries place connection
-        # points, which all_annotations evaluates on demand.
-        sq = next((sq for sq in subqueries if len(sq.components) == 1), None)
+        # the answer join root(k) ⋈ leaf(k), with k the first pattern
+        # whose removal leaves the rest variable-connected (a leaf of a
+        # spanning tree of the patterns always qualifies); a
+        # single-pattern query is its own leaf.  Only these two enter the
+        # plan; all_annotations evaluates connection points on demand.
+        for k in range(q.size):
+            rest = q.patterns[:k] + q.patterns[k + 1:]
+            if variable_connected(rest):
+                break
         root = probes = None
-        if sq is not None:
-            root, root_vm = merge_into_global(
-                self.plan, select_best_plan(sq.components[0], stats), stats
-            )
+        if rest:
+            root, root_vm = merge_into_global(self.plan, select_best_plan(rest, stats), stats)
             root.roots += 1
-        leaf, leaf_vm = merge_into_global(
-            self.plan, [q.patterns[0 if sq is None else sq.removed]], stats
-        )
+        leaf, leaf_vm = merge_into_global(self.plan, [q.patterns[k]], stats)
         materialize_plan(self.plan, self.graph)
         # join rows hold the distinct projected variables, so the join
         # itself sums the derivations of each answer
@@ -271,7 +245,7 @@ class Engine:
                 BindingRow(dict(zip(q.projection, row)), poly)
                 for row, poly in rq.answers.items()
             ],
-            subquery_count=len(subqueries),
+            subquery_count=q.size if q.size > 1 else 0,
         )
 
     def _current_stats(self) -> StatsCatalog:
@@ -308,12 +282,16 @@ class Engine:
         changes, so a failure while computing leaves the engine as it was."""
         report = UpdateReport(op="+", edge_id=e.id)
         self._stats_cache = None  # stale now; the next registration rebuilds it
+        # a predicate has plan nodes exactly when some query mentions it
+        affected = self._by_pred.get(self.graph.predicate_name(e.predicate))
+        if not affected:
+            return report
 
         t0 = time.perf_counter()
         deltas = compute_insert_deltas(self.plan, self.graph, e)
         t1 = time.perf_counter()
         added: dict[int, dict[Row, Polynomial]] = {}
-        for rq in self._by_pred.get(self.graph.predicate_name(e.predicate), ()):
+        for rq in affected:
             dl = deltas.get(rq.leaf)
             if rq.root is None:
                 rows = dl
@@ -443,10 +421,10 @@ class Engine:
                     for row, poly in table.rows.items():
                         bindings = dict(zip(table.vars, row))
                         result = tuple(bindings[v] for v in q.projection if v in bindings)
-                        for var, const, pred, direction in anchors:
-                            vertex = self.graph.node(const) if var is None else bindings[var]
+                        for x, direction in anchors:
+                            vertex = bindings[x.name] if isinstance(x, Var) else self.graph.node(x)
                             out.append(Annotation(
-                                vertex, pred, direction, rq.qid, sq.removed, ci,
-                                result, bindings, poly,
+                                vertex, sq.removed_pattern.predicate, direction, rq.qid,
+                                sq.removed, ci, result, bindings, poly,
                             ))
         return sorted(out, key=lambda a: a.key)

@@ -416,7 +416,6 @@ class GlobalPlan:
 
     def __init__(self):
         self.nodes: dict[CanonicalKey, PlanNode] = {}
-        self.pred_index: dict[str, set[CanonicalKey]] = {}
         # every node table, grouped by node
         self.rows = ProvTable()
         # nodes created since the last materialization, children first
@@ -514,8 +513,6 @@ def merge_into_global(
             node.table = plan.rows.group(node)
         plan.nodes[cf.key] = node
         plan.pending.append(node)
-        for pred in node.predicates:
-            plan.pred_index.setdefault(pred, set()).add(cf.key)
 
     n = len(order)
     forms: dict[int, CanonicalForm] = {}  # prefix length -> its form

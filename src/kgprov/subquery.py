@@ -1,8 +1,9 @@
 """Subquery generation: every (n-1)-pattern query obtained by removing one
 triple pattern, split into variable-connected components and classified
 into four structural types.  The types place each subquery's connection
-points, and a one-component subquery (Type I or IV) supplies the root of
-a query's answer join.
+points.  Only `Engine.all_annotations` generates subqueries, for
+inspection; registration needs none, since it picks its answer join's
+pattern k by a connectivity test.
 """
 
 from __future__ import annotations

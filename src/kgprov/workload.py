@@ -153,7 +153,6 @@ class BenchReport:
     maintenance_time: float = 0.0
     answers_added: int = 0
     answers_removed: int = 0
-    per_update: list[float] = field(default_factory=list)
 
     @property
     def mean_update_time(self) -> float:
@@ -186,7 +185,7 @@ def _resolve_delete(g: KnowledgeGraph, op: Op) -> int | None:
     return min(ids) if ids else None
 
 
-def apply_incremental(engine: Engine, ops: list[Op], record_steps: bool = False) -> BenchReport:
+def apply_incremental(engine: Engine, ops: list[Op]) -> BenchReport:
     report = BenchReport(mode="incremental")
     for op in ops:
         t0 = time.perf_counter()
@@ -200,15 +199,12 @@ def apply_incremental(engine: Engine, ops: list[Op], record_steps: bool = False)
                 continue
             upd = engine.delete_edge(eid)
             report.deletes += 1
-        dt = time.perf_counter() - t0
         report.updates += 1
-        report.total_time += dt
+        report.total_time += time.perf_counter() - t0
         report.response_time += upd.response_time
         report.maintenance_time += upd.maintenance_time
         report.answers_added += sum(len(v) for v in upd.added.values())
         report.answers_removed += sum(len(v) for v in upd.removed.values())
-        if record_steps:
-            report.per_update.append(dt)
     return report
 
 
@@ -234,7 +230,7 @@ class NaiveRunner:
             if any(p.predicate == pred for p in q.patterns):
                 self.answers[i] = self._eval(q)
 
-    def apply(self, ops: list[Op], record_steps: bool = False) -> BenchReport:
+    def apply(self, ops: list[Op]) -> BenchReport:
         report = BenchReport(mode="naive")
         for op in ops:
             t0 = time.perf_counter()
@@ -251,11 +247,8 @@ class NaiveRunner:
                 edge = self.graph.delete_edge(eid)
                 report.deletes += 1
                 self._refresh(self.graph.predicate_name(edge.predicate))
-            dt = time.perf_counter() - t0
             report.updates += 1
-            report.total_time += dt
-            if record_steps:
-                report.per_update.append(dt)
+            report.total_time += time.perf_counter() - t0
         return report
 
 

@@ -19,6 +19,7 @@ from kgprov.query import (
     TriplePattern,
     UnsupportedFeatureError,
     Var,
+    canonicalize,
     parse_query,
 )
 from kgprov.store import KnowledgeGraph, bucket_add
@@ -321,6 +322,63 @@ def test_update_stream_tracks_oracle(registered, running_query):
 def _chain(n):
     body = " . ".join(f"?x{i} c{i} ?x{i + 1}" for i in range(n))
     return parse_query(f"SELECT ?x0 ?x{n} WHERE {{ {body} }}")
+
+
+def test_registration_generates_no_subquery(academia, monkeypatch):
+    """Registration finds k with a connectivity test per pattern: it
+    never generates the one-pattern-removed subqueries."""
+
+    def refuse(q):
+        raise AssertionError("registration generated subqueries")
+
+    monkeypatch.setattr(maintenance, "generate_subqueries", refuse)
+    g = academia
+    for i in range(11):  # a path for the chain's c0 ... c10
+        g.insert_triple(f"n{i}", f"c{i}", f"n{i + 1}")
+    g.insert_triple("Ooi", "coAuthor", "Ooi")
+    engine = Engine(g)
+    queries = [
+        parse_query(RUNNING_QUERY),
+        parse_query("SELECT ?s ?p WHERE { ?s hadAdvisor ?p . }"),  # single pattern
+        parse_query("SELECT ?a WHERE { ?a hasDegree PhD . ?a worksIn ?w . }"),  # constant
+        parse_query("SELECT ?x ?w WHERE { ?x coAuthor ?x . ?x worksIn ?w . }"),  # self-loop
+        _chain(11),
+    ]
+    for q in queries:
+        receipt = engine.register_query(q)
+        want = brute_force_answers(q, g)
+        assert want
+        assert answer_dict(engine, receipt.query_id) == want
+        assert receipt.subquery_count == (q.size if q.size > 1 else 0)
+    assert engine.index_audit() == []
+
+
+def test_answer_join_keeps_the_first_one_component_subquery():
+    """k is the removed pattern of the first subquery that keeps one
+    component, the rule registration followed while it generated every
+    subquery, so every query gets the same leaf and root, and the plan
+    stays the same."""
+    rng = random.Random(13)
+    ks = collections.Counter()
+    for _trial in range(12):
+        g = random_graph(rng, 10, 3, 30)
+        engine = Engine(g)
+        for _ in range(6):
+            q = random_query(g, rng, rng.randrange(1, 6))
+            try:
+                rq = engine.queries[engine.register_query(q).query_id]
+            except QueryError:
+                continue
+            subqueries = generate_subqueries(q) if q.size > 1 else []
+            sq = next((sq for sq in subqueries if len(sq.components) == 1), None)
+            k = 0 if sq is None else sq.removed
+            assert rq.leaf.key == canonicalize([q.patterns[k]]).key
+            if sq is None:
+                assert rq.root is None
+            else:
+                assert rq.root.key == canonicalize(sq.components[0]).key
+            ks[k] += 1
+    assert len(ks) > 1  # not only the first pattern
 
 
 def test_answer_join_tracks_oracle_on_every_shape():
