@@ -5,10 +5,9 @@ serve both the plan's join nodes and the engine's answer joins.
 
 Every produced row carries a polynomial whose monomials are exactly the
 edge multisets of its derivations, so deletion reduces to monomial
-pruning and insertion to join deltas.  A plain leaf `?x p ?y` keeps no
-rows: a join reads it from the store's buckets, one edge symbol per
-edge, so it has nothing to apply on insert and nothing to prune on
-delete.
+pruning and insertion to join deltas.  A plan leaf keeps no rows: a join
+reads it from the store's buckets, one edge symbol per edge, so it has
+nothing to apply on insert and nothing to prune on delete.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, slot_index
+from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids, slot_index
 from .provenance import Polynomial, ResultDelta
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph, bucket_add, bucket_discard, bucket_entries
@@ -39,46 +38,27 @@ class Table:
     rows: dict[tuple[int, ...], Polynomial]
 
 
-def _resolve(g: KnowledgeGraph, term, predicate: bool) -> int | None:
-    """Intern lookup for a constant; None means 'not in the graph'."""
-    interner = g.predicates if predicate else g.nodes
-    return interner.get(term)
+def _var_order(p: TriplePattern) -> tuple[str, ...]:
+    """A pattern's variables by first appearance over (s, p, o)."""
+    return tuple(dict.fromkeys(t.name for t in p.terms() if isinstance(t, Var)))
 
 
 def scan_pattern(p: TriplePattern, g: KnowledgeGraph) -> Table:
     """Single-pattern scan; each row's polynomial is the edge symbol, and
-    duplicate triples add up in one row."""
-    s, o = p.subject, p.object
-    if (
-        not isinstance(p.predicate, Var)
-        and isinstance(s, Var)
-        and isinstance(o, Var)
-        and s.name != o.name
-    ):
-        # the common leaf `?x pred ?y`: every edge of pred is a row (s, o)
-        if _resolve(g, p.predicate, True) is None:
-            return Table((), {})  # constant absent from the graph
-        return Table((s.name, o.name), LeafView(g, p.predicate).rows())
-    return _scan_matching(p, g)
+    duplicate triples add up in one row.  A constant predicate with a
+    variable endpoint, the form of every plan leaf, is read through a
+    `LeafView`."""
+    if isinstance(p.predicate, Var) or not (isinstance(p.subject, Var) or isinstance(p.object, Var)):
+        return _scan_matching(p, g)
+    return Table(_var_order(p), LeafView(g, p).rows())
 
 
 def _scan_matching(p: TriplePattern, g: KnowledgeGraph) -> Table:
     """`scan_pattern` for any pattern shape: constants, a variable
     predicate and repeated variables are matched edge by edge."""
-    s = None if isinstance(p.subject, Var) else _resolve(g, p.subject, False)
-    pr = None if isinstance(p.predicate, Var) else _resolve(g, p.predicate, True)
-    o = None if isinstance(p.object, Var) else _resolve(g, p.object, False)
-    for const, term in ((s, p.subject), (pr, p.predicate), (o, p.object)):
-        if const is None and not isinstance(term, Var):
-            return Table((), {})  # constant absent from the graph
-
-    var_order: list[str] = []
-    for t in (p.subject, p.predicate, p.object):
-        if isinstance(t, Var) and t.name not in var_order:
-            var_order.append(t.name)
-
+    ids = pattern_ids(g, p)
     rows: dict[tuple[int, ...], Polynomial] = {}
-    for e in g.lookup(s, pr, o):
+    for e in () if ids is None else g.lookup(*ids):
         binding: dict[str, int] = {}
         ok = True
         for t, value in ((p.subject, e.subject), (p.predicate, e.predicate), (p.object, e.object)):
@@ -89,10 +69,10 @@ def _scan_matching(p: TriplePattern, g: KnowledgeGraph) -> Table:
                 binding[t.name] = value
         if not ok:
             continue
-        key = tuple(binding[v] for v in var_order)
+        key = tuple(binding.values())
         poly = Polynomial.edge(e.id)
         rows[key] = rows[key] + poly if key in rows else poly
-    return Table(tuple(var_order), rows)
+    return Table(_var_order(p), rows)
 
 
 def hash_join(a: Table, b: Table) -> Table:
@@ -120,13 +100,8 @@ def hash_join(a: Table, b: Table) -> Table:
 
 
 def _pattern_selectivity(p: TriplePattern, g: KnowledgeGraph) -> int:
-    s = None if isinstance(p.subject, Var) else _resolve(g, p.subject, False)
-    pr = None if isinstance(p.predicate, Var) else _resolve(g, p.predicate, True)
-    o = None if isinstance(p.object, Var) else _resolve(g, p.object, False)
-    for const, term in ((s, p.subject), (pr, p.predicate), (o, p.object)):
-        if const is None and not isinstance(term, Var):
-            return 0
-    return g.count(s, pr, o)
+    ids = pattern_ids(g, p)
+    return 0 if ids is None else g.count(*ids)
 
 
 def evaluate_patterns(patterns: list[TriplePattern], g: KnowledgeGraph) -> Table:
@@ -179,18 +154,6 @@ def evaluate_bgp(q: QueryGraph, g: KnowledgeGraph) -> list[BindingRow]:
 # --------------------------------------------------------------------------
 
 
-def _slot_of(var: Var) -> int:
-    # plan-node patterns use canonical variable names v0, v1, ...
-    return int(var.name[1:])
-
-
-def materialize_node(node: PlanNode, g: KnowledgeGraph) -> dict[tuple[int, ...], Polynomial]:
-    """Scan a leaf's single pattern from the store, keyed by var slot:
-    `scan_pattern` reports variables by first appearance over (s, p, o),
-    the order that numbers a leaf's canonical variables."""
-    return scan_pattern(node.patterns[0], g).rows
-
-
 def join_tables(
     left: PlanNode, right: PlanNode, probes: tuple[JoinProbe, JoinProbe]
 ) -> dict[tuple[int, ...], Polynomial]:
@@ -198,15 +161,15 @@ def join_tables(
     left rows probing right and right rows probing left.
 
     Both sides hold full bindings, so summing the products over matching
-    row pairs yields every derivation exactly once.  A plain leaf is
-    probed in the store's buckets: the other side is scanned, or, when
-    both are plain leaves, the one with fewer edges.  Otherwise the
-    smaller table is hashed for this join only, so the call leaves no
-    index behind that the update path did not ask for."""
+    row pairs yields every derivation exactly once.  A leaf is probed in
+    the store's buckets: the other side is scanned, or, when both are
+    leaves, the one with fewer edges.  Two join nodes hash the smaller
+    table for this join only, so the call leaves no index behind that
+    the update path did not ask for."""
     out: dict[tuple[int, ...], Polynomial] = {}
-    if left.plain or right.plain:
+    if left.is_leaf or right.is_leaf:
         probe, scan, other = probes[0], left, right
-        if not right.plain or (left.plain and right.table.count() < left.table.count()):
+        if not right.is_leaf or (left.is_leaf and right.table.count() < left.table.count()):
             probe, scan, other = probes[1], right, left
         _probe(scan.table, probe, other, None, out)
         return out
@@ -219,20 +182,16 @@ def join_tables(
 
 
 def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
-    """Fill the table (and the edge->row index) of every node created
-    since the last call, children first: a leaf scans its pattern from
-    the store, a join node joins its children's current tables, and a
-    plain leaf is not scanned but gets a `LeafView` of the store."""
+    """Give every node created since the last call its table, children
+    first: a join node joins its children's current tables into its
+    group (and the edge->row index), and a leaf, which is not scanned,
+    gets a `LeafView` of the store."""
     for node in plan.pending:
-        if node.plain:
-            node.table = LeafView(g, node.patterns[0].predicate)
-            continue
         if node.is_leaf:
-            rows = materialize_node(node, g)
+            node.table = LeafView(g, node.patterns[0])
         else:
             left, right = (plan.nodes[key] for key, _ in node.children)
-            rows = join_tables(left, right, node.probes)
-        plan.rows.add(node, rows)
+            plan.rows.add(node, join_tables(left, right, node.probes))
     plan.pending.clear()
     return plan
 
@@ -264,23 +223,6 @@ def _index_remove(node: PlanNode, row: tuple[int, ...]):
 # --------------------------------------------------------------------------
 
 
-def _leaf_delta(node: PlanNode, e: Edge, g: KnowledgeGraph) -> dict[tuple[int, ...], Polynomial]:
-    p = node.patterns[0]
-    binding: dict[int, int] = {}
-    for t, value in ((p.subject, e.subject), (p.predicate, e.predicate), (p.object, e.object)):
-        if isinstance(t, Var):
-            slot = _slot_of(t)
-            if slot in binding and binding[slot] != value:
-                return {}
-            binding[slot] = value
-        else:
-            interner = g.predicates if t is p.predicate else g.nodes
-            if interner.get(t) != value:
-                return {}
-    row = tuple(binding[s] for s in range(node.num_vars))
-    return {row: Polynomial.edge(e.id)}
-
-
 def _probe(
     delta: Mapping[tuple[int, ...], Polynomial],
     probe: JoinProbe,
@@ -291,12 +233,12 @@ def _probe(
 ):
     """Join delta rows against one input side into `out`.
 
-    `other_rows=None` probes the side's full table: a plain leaf's in
-    the store, leaving out edge `skip`, any other through its cached
+    `other_rows=None` probes the side's full table: a leaf's in the
+    store, leaving out edge `skip`, a join node's through its cached
     index.  Otherwise the given rows are hashed for this call only.
     """
     if other_rows is None:
-        if other.plain:
+        if other.is_leaf:
             _probe_store(delta, probe, other.table, out, skip)
             return
         idx, other_rows = node_index(other, probe.o_slots), other.table
@@ -320,33 +262,31 @@ def _probe_store(
     out: dict[tuple[int, ...], Polynomial],
     skip: int | None,
 ):
-    """`_probe` into a plain leaf: each delta row reads the store bucket
-    of its bound endpoints, and every edge in it but `skip` joins the row
-    with its own symbol, so that duplicate triples sum in `out`."""
-    g = leaf.graph
-    p = g.predicates.get(leaf.predicate)
-    if p is None:
+    """`_probe` into a leaf: each delta row reads the edges that bind the
+    leaf's shared slots as the row does, and every one of them but `skip`
+    joins the row with its own symbol, so that duplicate triples sum in
+    `out`."""
+    ids = leaf.ids()
+    if ids is None:
         return
-    o_slots = probe.o_slots  # the leaf's slots 0 (subject) and 1 (object)
-    s_at = o_slots.index(0) if 0 in o_slots else None
-    o_at = o_slots.index(1) if 1 in o_slots else None
-    # one bound endpoint, the usual probe, reads its (s, p) or (p, o)
-    # bucket directly; two go through the filtered lookup
-    index = g.endpoint_index(o_at is None) if len(o_slots) == 1 else None
-    edges, d_key, parent_row = g.edges, probe.d_key, probe.parent_row
+    g, p, o_slots = leaf.graph, ids[1], probe.o_slots
+    # `?v0 p ?v1` probed on one endpoint, the usual probe, reads its
+    # (s, p) or (p, o) bucket directly; any other goes through the lookup
+    subject = o_slots == (0,)
+    index = g.endpoint_index(subject) if leaf.pairs and len(o_slots) == 1 else None
+    edges, d_key, parent_row, row_of = g.edges, probe.d_key, probe.parent_row, leaf.row_of
     for drow, dpoly in delta.items():
         k = d_key(drow)
         if index is None:
-            ids = g.lookup_ids(None if s_at is None else k[s_at], p, None if o_at is None else k[o_at])
+            found = leaf.edge_ids(o_slots, k)
         else:
-            bucket = index.get((k[0], p) if o_at is None else (p, k[0]))
+            bucket = index.get((k[0], p) if subject else (p, k[0]))
             if bucket is None:
                 continue
-            ids = bucket_entries(bucket)
-        for eid in ids:
+            found = bucket_entries(bucket)
+        for eid in found:
             if eid != skip:
-                # an Edge is (id, subject, predicate, object)
-                key = parent_row(drow + edges[eid][1::2])
+                key = parent_row(drow + row_of(edges[eid]))
                 poly = dpoly.times_edge(eid)
                 out[key] = out[key] + poly if key in out else poly
 
@@ -362,8 +302,8 @@ def join_delta(
     """The delta rule ΔL⋈R + L⋈ΔR + ΔL⋈ΔR of left ⋈ right, given each
     side's delta (None or empty for none) against its current, pre-apply
     table; `probes` is laid out as for `join_tables`.  `skip` is the
-    inserted edge, which the store already holds but a plain leaf's
-    pre-insert table does not: ΔL⋈ΔR supplies its terms."""
+    inserted edge, which the store already holds but a leaf's pre-insert
+    table does not: ΔL⋈ΔR supplies its terms."""
     lprobe, rprobe = probes
     d: dict[tuple[int, ...], Polynomial] = {}
     if dl:
@@ -380,15 +320,15 @@ def compute_insert_deltas(
 ) -> dict[PlanNode, dict[tuple[int, ...], Polynomial]]:
     """Bottom-up delta of every plan node for one inserted edge,
     computed against the current (pre-apply) tables; nothing is applied.
-    The edge must already be present in the store: plain leaves are read
-    from it without the edge, and `_leaf_delta` gives their delta."""
+    The edge must already be present in the store: leaves are read from
+    it without the edge, and `LeafView.delta` gives their delta."""
     pred = g.predicate_name(e.predicate)
     deltas: dict = {}
     for node in plan.topo_order():
         if pred not in node.predicates:
             continue
         if node.is_leaf:
-            d = _leaf_delta(node, e, g)
+            d = node.table.delta(e)
         else:
             (lkey, _), (rkey, _) = node.children
             left, right = plan.nodes[lkey], plan.nodes[rkey]
@@ -399,10 +339,10 @@ def compute_insert_deltas(
 
 
 def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
-    """Merge computed insert deltas into the node tables and indexes; a
-    plain leaf's delta is in the store already."""
+    """Merge computed insert deltas into the join nodes' tables and
+    indexes; a leaf's delta is in the store already."""
     for node, d in deltas.items():
-        if node.plain:
+        if node.is_leaf:
             continue
         for row in plan.rows.add(node, d):
             _index_add(node, row)
@@ -415,8 +355,8 @@ def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
 
 def delta_delete(plan: GlobalPlan, edge_id: int) -> dict[PlanNode, ResultDelta]:
     """Prune the deleted edge's monomials from every indexed plan row;
-    returns {node: ResultDelta}.  Plain leaves hold no rows, so the
-    store's own delete has already updated them.
+    returns {node: ResultDelta}.  Leaves hold no rows, so the store's
+    own delete has already updated them.
 
     Monomials are exact derivation edge-multisets, so pruning each node
     independently keeps all tables consistent; no re-join is needed.

@@ -7,7 +7,7 @@ merges only their join chain and that leaf into the shared global plan,
 and materializes what is new.  Each edge insertion is answered by the
 plan's delta rule applied to the join, and each deletion by pruning the
 polynomials of the answers and the plan tables, two provenance-indexed
-tables -- no query is ever re-executed from scratch.  A plain leaf `?x p ?y` keeps
+tables -- no query is ever re-executed from scratch.  A plan leaf keeps
 no table: the answer join, and a single-pattern query's answers, read
 it from the store through its `LeafView`, so the store's own update is
 all it needs.
@@ -54,7 +54,6 @@ from .query import (
     UnsupportedFeatureError,
     Var,
     canonicalize,
-    classify_query,
     variable_connected,
 )
 from .store import Edge, KnowledgeGraph
@@ -198,7 +197,6 @@ class Engine:
         if form in self._registered_forms:
             raise QueryError("query already registered")
 
-        q.classification = classify_query(q)
         qid = self._next_qid
         self._next_qid += 1
         stats = self._current_stats()
@@ -363,11 +361,10 @@ class Engine:
         """Rebuild all inverted indexes, the store's and the plan's join
         probe indexes included, from first principles and diff them
         against the live ones, check that every stored polynomial is
-        canonical, that no plain leaf holds rows, a group, edge entries
-        or a probe index, that every plan node feeds some answer join and that
-        its `roots` count the joins rooted at it, and recompute every
-        query's answers from its answer join; an empty list means
-        consistent."""
+        canonical, that no leaf holds a group, edge entries or a probe
+        index, that every plan node feeds some answer join and that its
+        `roots` count the joins rooted at it, and recompute every query's
+        answers from its answer join; an empty list means consistent."""
         problems = self.graph.audit()
         problems += [f"edge-to-result {p}" for p in self.answers.audit()]
         problems += [f"plan {p}" for p in self.plan.audit()]

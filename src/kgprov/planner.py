@@ -14,11 +14,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .provenance import Polynomial, ProvTable
 from .query import CanonicalForm, CanonicalKey, TriplePattern, Var, canonicalize
-from .store import KnowledgeGraph, bucket_add, bucket_entries, bucket_faults
+from .store import Edge, KnowledgeGraph, bucket_add, bucket_entries, bucket_faults
 
 # --------------------------------------------------------------------------
 # Statistics
@@ -310,45 +310,102 @@ def slot_index(rows: Iterable[tuple[int, ...]], slots: tuple[int, ...]) -> dict:
     return idx
 
 
+def pattern_ids(g: KnowledgeGraph, p: TriplePattern) -> tuple[int | None, int | None, int | None] | None:
+    """The store ids of a pattern's subject, predicate and object, None
+    at a variable; None instead when a constant is not in the store, as
+    then the pattern matches no edge."""
+    ids = []
+    for term, names in zip(p.terms(), (g.nodes, g.predicates, g.nodes)):
+        i = None if isinstance(term, Var) else names.get(term)
+        if i is None and not isinstance(term, Var):
+            return None
+        ids.append(i)
+    return tuple(ids)
+
+
 class LeafView(Mapping):
-    """The table of a plain leaf `?v0 p ?v1` (a constant predicate and
-    two distinct variables), read from the store on every access instead
-    of copied: the row (s, o) maps to the sum of the symbols of the
-    edges s p o, so duplicate triples add up in one row.  The predicate
-    is resolved by name on each read, because it may enter the store
-    only after the leaf is planned.  Read-only."""
+    """The table of a plan leaf `?v0 p ?v1`, `?v0 p ?v0`, `?v0 p c` or
+    `c p ?v0`, read from the store on every access instead of copied: an
+    edge that matches the pattern binds its variables to the edge's
+    endpoints, and each row maps to the sum of the symbols of the edges
+    that bind it, so duplicate triples add up in one row.  The constants
+    are resolved by name on each read until all are in the store,
+    because they may enter it only after the leaf is planned.
+    Read-only."""
 
-    __slots__ = ("graph", "predicate")
+    __slots__ = ("graph", "pattern", "pairs", "loop", "row_of", "_ids")
 
-    def __init__(self, graph: KnowledgeGraph, predicate: str):
+    def __init__(self, graph: KnowledgeGraph, pattern: TriplePattern):
         self.graph = graph
-        self.predicate = predicate
+        self.pattern = pattern
+        s, o = pattern.subject, pattern.object
+        # `?v0 p ?v1`: the rows are the (subject, object) pairs of p's edges
+        self.pairs = isinstance(s, Var) and isinstance(o, Var) and s != o
+        self.loop = isinstance(s, Var) and s == o
+        # an Edge is (id, subject, predicate, object)
+        self.row_of = tuple_getter((1, 3) if self.pairs else (1,) if isinstance(s, Var) else (3,))
+        self._ids = None
 
-    def edge_ids(self, s: int | None = None, o: int | None = None):
-        """Ids of the edges s p o, None being a wildcard; a bucket may
-        come live, as `KnowledgeGraph.lookup_ids` gives it."""
-        p = self.graph.predicates.get(self.predicate)
-        return () if p is None else self.graph.lookup_ids(s, p, o)
+    def ids(self) -> tuple[int | None, int | None, int | None] | None:
+        """`pattern_ids` of the leaf's pattern, kept once found: the store
+        never drops a name it has interned."""
+        if self._ids is None:
+            self._ids = pattern_ids(self.graph, self.pattern)
+        return self._ids
+
+    def edge_ids(self, slots: Sequence[int] = (), key: tuple[int, ...] = ()) -> Collection[int]:
+        """Ids of the edges whose rows hold `key` at the leaf's `slots`; a
+        bucket may come live, as `KnowledgeGraph.lookup_ids` gives it."""
+        ids = self.ids()
+        if ids is None:
+            return ()
+        s, p, o = ids
+        if s is None and 0 in slots:
+            s = key[slots.index(0)]
+        o_slot = 1 if self.pairs else 0
+        if o is None and o_slot in slots:
+            o = key[slots.index(o_slot)]
+        found = self.graph.lookup_ids(s, p, o)
+        if self.loop and s is None:  # only the self-loops of p bind `?v0 p ?v0`
+            edges = self.graph.edges
+            found = [i for i in found if edges[i].subject == edges[i].object]
+        return found
 
     def count(self) -> int:
-        """The predicate's edge count, read without a scan; no fewer
-        than the rows."""
-        return len(self.edge_ids())
+        """The edges of the leaf's predicate and constants, read without
+        a scan; no fewer than the rows."""
+        ids = self.ids()
+        return 0 if ids is None else len(self.graph.lookup_ids(*ids))
+
+    def delta(self, e: Edge) -> dict[tuple[int, ...], Polynomial]:
+        """The row that inserting the edge `e` adds, with e's symbol, or
+        nothing when e does not match the pattern."""
+        ids = self.ids()
+        if ids is None:
+            return {}
+        s, p, o = ids
+        if (
+            e.predicate != p
+            or s is not None and e.subject != s
+            or o is not None and e.object != o
+            or self.loop and e.subject != e.object
+        ):
+            return {}
+        return {self.row_of(e): Polynomial.edge(e.id)}
 
     def rows(self) -> dict[tuple[int, ...], Polynomial]:
-        """Every row, from one scan of the predicate's bucket."""
-        edges = self.graph.edges
+        """Every row, from one read of the store."""
+        edges, row_of = self.graph.edges, self.row_of
         out: dict[tuple[int, ...], Polynomial] = {}
         for eid in self.edge_ids():
-            e = edges[eid]
-            key = (e.subject, e.object)
+            key = row_of(edges[eid])
             poly = Polynomial.edge(eid)
             out[key] = out[key] + poly if key in out else poly
         return out
 
     def __getitem__(self, row: tuple[int, ...]) -> Polynomial:
         poly = Polynomial.zero()
-        for eid in self.edge_ids(*row):
+        for eid in self.edge_ids(range(len(row)), row):
             poly = poly + Polynomial.edge(eid)
         if not poly:
             raise KeyError(row)
@@ -379,12 +436,10 @@ class PlanNode:
     estimate: float
     # (child key, map child-var-slot -> this node's var slot) per side
     children: tuple[tuple[CanonicalKey, dict[int, int]], tuple[CanonicalKey, dict[int, int]]] | None
-    # bindings over var slots 0..num_vars-1 -> provenance; the plan's
-    # ProvTable group keyed by this node, or a plain leaf's LeafView
+    # bindings over var slots 0..num_vars-1 -> provenance; a join node's
+    # group of the plan's ProvTable, keyed by the node, or a leaf's
+    # LeafView, which holds no rows, edge entries or probe indexes
     table: Mapping[tuple[int, ...], Polynomial] = field(default_factory=dict)
-    # a plain leaf `?v0 p ?v1`: no rows, group, edge entries or probe
-    # indexes of its own; every read goes to the store
-    plain: bool = False
     # how many registered queries' answer joins this node roots
     roots: int = 0
     # join nodes: (left child's rows probing the right, right's probing
@@ -428,20 +483,20 @@ class GlobalPlan:
         return self.rows.by_edge
 
     def audit(self) -> list[str]:
-        """The row table's audit, plus every plain leaf that holds a
-        group, an edge entry or a probe index, every join-probe index
-        bucket that breaks the bucket invariant and every index that
-        differs from one rebuilt from its node's table."""
+        """The row table's audit, plus every leaf that holds a group, an
+        edge entry or a probe index, every join-probe index bucket that
+        breaks the bucket invariant and every index that differs from one
+        rebuilt from its node's table."""
         problems = self.rows.audit()
-        problems += [f"plain leaf {node!r} holds a table group" for node in self.rows.groups if node.plain]
+        problems += [f"leaf {node!r} holds a table group" for node in self.rows.groups if node.is_leaf]
         problems += sorted({
-            f"plain leaf {node!r} holds edge entries"
+            f"leaf {node!r} holds edge entries"
             for bucket in self.rows.by_edge.values()
-            for node, _ in bucket_entries(bucket) if node.plain
+            for node, _ in bucket_entries(bucket) if node.is_leaf
         })
         for node in self.nodes.values():
-            if node.plain and node.indexes:
-                problems.append(f"plain leaf {node!r} holds a probe index")
+            if node.is_leaf and node.indexes:
+                problems.append(f"leaf {node!r} holds a probe index")
             for slots, idx in node.indexes.items():
                 key = tuple_getter(slots)
                 want: dict = {}
@@ -506,10 +561,8 @@ def merge_into_global(
             estimate=estimate_cardinality(pats, stats),
             children=children,
             probes=probes,
-            # `?v0 p ?v1`, the only form of a plain leaf's key
-            plain=len(pats) == 1 and cf.key[0][::2] == (("v", 0), ("v", 1)) and cf.key[0][1][0] == "c",
         )
-        if not node.plain:  # a plain leaf gets its view when materialized
+        if sides is not None:  # a leaf gets its view when materialized
             node.table = plan.rows.group(node)
         plan.nodes[cf.key] = node
         plan.pending.append(node)

@@ -75,40 +75,20 @@ class TriplePattern:
 class QueryGraph:
     patterns: list[TriplePattern]
     projection: list[str]
-    classification: "Classification | None" = None
 
     @property
     def size(self) -> int:
         return len(self.patterns)
+
+    @property
+    def classification(self) -> Classification:
+        return classify_query(self)
 
     def variables(self) -> set[str]:
         return set().union(*(p.variables() for p in self.patterns))
 
     def has_variable_predicate(self) -> bool:
         return any(isinstance(p.predicate, Var) for p in self.patterns)
-
-
-@dataclass(frozen=True)
-class PredicateFlags:
-    one_to_one: bool = False
-    asymmetric: bool = False
-
-
-class PredicateMetadata:
-    """Optional per-predicate semantics; unknown predicates get all-false
-    flags, which keeps classification conservative."""
-
-    def __init__(self, flags: dict[str, PredicateFlags] | None = None):
-        self._flags = dict(flags or {})
-
-    def __getitem__(self, predicate: str) -> PredicateFlags:
-        return self._flags.get(predicate, _NO_FLAGS)
-
-    def set(self, predicate: str, one_to_one: bool = False, asymmetric: bool = False):
-        self._flags[predicate] = PredicateFlags(one_to_one, asymmetric)
-
-
-_NO_FLAGS = PredicateFlags()
 
 
 @dataclass(frozen=True)
@@ -364,86 +344,21 @@ def canonicalize(patterns: list[TriplePattern]) -> CanonicalForm:
 # --------------------------------------------------------------------------
 
 
-def _provably_distinct(
-    a: Term, b: Term, patterns: list[TriplePattern], meta: PredicateMetadata,
-    seen: set | None = None,
-) -> bool:
-    """Can terms a and b never bind the same node?
+def may_share_edge(a: TriplePattern, b: TriplePattern) -> bool:
+    """Can two same-predicate patterns bind the same edge?  Yes unless
+    their subjects, or their objects, are two different constants."""
 
-    Distinct constants are trivially distinct; otherwise propagate through
-    chains of one-to-one predicates (functional dependency) or a path of
-    one repeated asymmetric predicate.
-    """
-    if seen is None:
-        seen = set()
-    ka = a.name if isinstance(a, Var) else ("c", a)
-    kb = b.name if isinstance(b, Var) else ("c", b)
-    if (ka, kb) in seen:
-        return False
-    seen.add((ka, kb))
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return a != b
-    if _asymmetric_path(a, b, patterns, meta) or _asymmetric_path(b, a, patterns, meta):
-        return True
-    # forward propagation along shared one-to-one predicates
-    for p in patterns:
-        if not isinstance(p.predicate, str):
-            continue
-        if not meta[p.predicate].one_to_one:
-            continue
-        if p.subject != a:
-            continue
-        for q in patterns:
-            if q is p or q.predicate != p.predicate or q.subject != b:
-                continue
-            if _provably_distinct(p.object, q.object, patterns, meta, seen):
-                return True
-    return False
+    def distinct(x: Term, y: Term) -> bool:
+        return not isinstance(x, Var) and not isinstance(y, Var) and x != y
+
+    return not (distinct(a.subject, b.subject) or distinct(a.object, b.object))
 
 
-def _asymmetric_path(a: Term, b: Term, patterns: list[TriplePattern], meta: PredicateMetadata) -> bool:
-    """Directed path from a to b whose hops all use one asymmetric predicate."""
-    for pred in {p.predicate for p in patterns if isinstance(p.predicate, str)}:
-        if not meta[pred].asymmetric:
-            continue
-        frontier = [a]
-        visited = set()
-        while frontier:
-            cur = frontier.pop()
-            for p in patterns:
-                if p.predicate != pred or p.subject != cur:
-                    continue
-                if p.object == b:
-                    return True
-                key = repr(p.object)
-                if key not in visited:
-                    visited.add(key)
-                    frontier.append(p.object)
-    return False
-
-
-def may_share_edge(
-    a: TriplePattern, b: TriplePattern, patterns: list[TriplePattern], meta: PredicateMetadata
-) -> bool:
-    """Can two same-predicate patterns of `patterns` bind the same edge?
-    Yes unless their subjects or their objects are provably distinct."""
-    return not (
-        _provably_distinct(a.subject, b.subject, patterns, meta)
-        or _provably_distinct(a.object, b.object, patterns, meta)
-    )
-
-
-def classify_query(q: QueryGraph, meta: PredicateMetadata | None = None) -> Classification:
-    """Classify as Regular or MultiMap.
-
-    Conservative: two same-predicate patterns are assumed co-bindable
-    unless one of the two exclusion arguments (one-to-one chains to
-    distinct constants, or a repeated-asymmetric-predicate path) proves
-    they cannot bind the same edge.
-    """
-    meta = meta or PredicateMetadata()
+def classify_query(q: QueryGraph) -> Classification:
+    """Classify as Regular or MultiMap: MultiMap when some two
+    same-predicate patterns may bind the same edge."""
     named = [p for p in q.patterns if isinstance(p.predicate, str)]
     return Classification(any(
-        a.predicate == b.predicate and may_share_edge(a, b, q.patterns, meta)
+        a.predicate == b.predicate and may_share_edge(a, b)
         for a, b in combinations(named, 2)
     ))

@@ -17,6 +17,7 @@ from kgprov.evaluate import (
 )
 from kgprov.planner import (
     GlobalPlan,
+    LeafView,
     compute_statistics,
     merge_into_global,
     select_best_plan,
@@ -65,10 +66,13 @@ def test_scan_constant_absent_from_graph(academia):
 
 
 def test_leaf_scan_fast_path_matches_generic_scan():
-    """`?x p ?y` takes the one-loop path; it must give what the
-    edge-by-edge matcher gives, duplicate triples summed into one row and
-    a self-loop edge kept.  Self-loop patterns, constant endpoints and a
-    variable predicate take the matcher itself."""
+    """A constant predicate with a variable endpoint is read through a
+    `LeafView`; it must give what the edge-by-edge matcher gives,
+    duplicate triples summed into one row and a self-loop edge kept.  A
+    variable predicate takes the matcher itself.  For every leaf shape,
+    the view's rows, count, row lookup and the row an inserted edge adds
+    agree with the matcher, a constant that enters the store only later
+    included."""
     g = KnowledgeGraph()
     for s, p, o in [
         ("a", "p", "b"), ("a", "p", "b"), ("a", "p", "b"),  # duplicates
@@ -87,6 +91,46 @@ def test_leaf_scan_fast_path_matches_generic_scan():
     a, b = g.node("a"), g.node("b")
     assert rows[(a, b)] == Polynomial.parse("e1 + e2 + e3")
     assert rows[(b, b)] == Polynomial.parse("e4")
+
+    v0, v1 = Var("v0"), Var("v1")
+    leaves = [
+        TriplePattern(*pattern, ordinal=0)
+        for pattern in [
+            (v0, "p", v1), (v0, "q", v1), (v0, "p", v0), (v0, "q", v0),
+            (v0, "p", "b"), ("a", "p", v0), (v0, "q", "a"), ("c", "q", v0),
+            (v0, "absent", v1), (v0, "p", "new"), ("new", "p", v0), (v0, "new", v0),
+        ]
+    ]
+    views = [LeafView(g, p) for p in leaves]
+
+    def check(p, view):
+        want = _scan_matching(p, g).rows
+        assert view.rows() == want, p
+        assert dict(view) == want and len(view) == len(want), p
+        assert view.count() >= len(want), p
+        for row, poly in want.items():
+            assert view[row] == poly, p
+        assert (99,) * len(p.variables()) not in view, p  # no such vertex
+        return want
+
+    tables = [check(p, view) for p, view in zip(leaves, views)]
+    for triple in [
+        ("a", "p", "b"),  # a fourth duplicate
+        ("c", "p", "c"), ("c", "p", "c"),  # a self-loop, then its duplicate
+        ("b", "p", "new"), ("new", "p", "new"), ("new", "new", "new"),
+        ("c", "q", "a"), ("a", "q", "b"),
+    ]:
+        eid = g.insert_triple(*triple)
+        for i, (p, view) in enumerate(zip(leaves, views)):
+            added = view.delta(g.edges[eid])
+            assert added in ({}, {next(iter(added), None): Polynomial.edge(eid)}), (p, triple)
+            grown = dict(tables[i])
+            for row, poly in added.items():
+                grown[row] = grown[row] + poly if row in grown else poly
+            tables[i] = check(p, view)
+            assert grown == tables[i], (p, triple)
+    # in the end every leaf matches some edge, but for the absent predicate's
+    assert [p.predicate for p, t in zip(leaves, tables) if not t] == ["absent"]
 
 
 def test_hash_join_agrees_with_oracle(academia):
@@ -178,8 +222,8 @@ def test_materialized_nodes_equal_per_node_evaluation(academia, running_query):
 
 
 def test_edge_rows_cover_every_table_row(academia, running_query):
-    """The edge index lists every row of every table-holding node; a
-    plain leaf, read from the store, holds no rows to list."""
+    """The edge index lists every row of every join node; a leaf, read
+    from the store, holds no rows to list."""
     plan, _ = build_plan(academia, [running_query])
     materialize_plan(plan, academia)
     # a bucket holding one (node, row) pair is the bare pair
@@ -187,10 +231,10 @@ def test_edge_rows_cover_every_table_row(academia, running_query):
         entry for bucket in plan.edge_rows.values() for entry in bucket_entries(bucket)
     }
     actual = {
-        (node, row) for node in plan.nodes.values() if not node.plain for row in node.table
+        (node, row) for node in plan.nodes.values() if not node.is_leaf for row in node.table
     }
     assert actual == listed
-    assert any(node.plain for node in plan.nodes.values())
+    assert any(node.is_leaf and node.table for node in plan.nodes.values())
     assert any(bucket.__class__ is tuple for bucket in plan.edge_rows.values())
 
 

@@ -11,7 +11,7 @@ import pytest
 from kgprov import evaluate, maintenance
 from kgprov.evaluate import evaluate_patterns, materialize_plan
 from kgprov.maintenance import IN, OUT, Engine
-from kgprov.planner import merge_into_global, select_best_plan
+from kgprov.planner import LeafView, merge_into_global, select_best_plan
 from kgprov.provenance import Polynomial
 from kgprov.query import (
     QueryError,
@@ -606,16 +606,17 @@ def fresh_node_table(node, g):
 
 
 def test_each_plan_node_materialized_once(engine, monkeypatch):
-    """Every table-holding plan node is filled exactly once; no plain
-    leaf is scanned into a table, as joins read it from the store."""
+    """Every join node is filled exactly once; no leaf is scanned into a
+    table, as joins read it from the store."""
     g = engine.graph
     filled = collections.Counter()  # node -> tables written
-    scanned = []  # leaves scanned into a table
+    scanned = []  # patterns scanned into a table
     real_materialize = maintenance.materialize_plan
-    real_scan = evaluate.materialize_node
-    monkeypatch.setattr(
-        evaluate, "materialize_node", lambda node, graph: scanned.append(node) or real_scan(node, graph)
-    )
+    for name in ("scan_pattern", "_scan_matching"):
+        real_scan = getattr(evaluate, name)
+        monkeypatch.setattr(
+            evaluate, name, lambda p, graph, real_scan=real_scan: scanned.append(p) or real_scan(p, graph)
+        )
 
     def counting_materialize(plan, graph):
         real_add = plan.rows.add
@@ -640,13 +641,13 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
     assert empty.table == {}
     assert empty.roots == 3
     nodes = engine.plan.nodes.values()
-    assert all(n.plain for n in nodes if n.is_leaf)
-    assert filled == collections.Counter(n for n in nodes if not n.plain)
+    assert all(isinstance(n.table, LeafView) for n in nodes if n.is_leaf)
+    assert filled == collections.Counter(n for n in nodes if not n.is_leaf)
     assert scanned == []
 
     # every plan node of this query already exists: its registration
-    # fills no table, and its answer join reads only its two plain
-    # leaves from the store
+    # fills no table, and its answer join reads only its two leaves from
+    # the store
     nodes_before = set(engine.plan.nodes)
     lookups = []
     real_lookup = KnowledgeGraph.lookup_ids
@@ -657,7 +658,7 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
     assert set(engine.plan.nodes) == nodes_before
     assert lookups
     assert {p for _, p, _ in lookups} == {g.predicates.get("hadAdvisor"), g.predicates.get("hasDegree")}
-    assert filled == collections.Counter(n for n in nodes if not n.plain)
+    assert filled == collections.Counter(n for n in nodes if not n.is_leaf)
     assert scanned == []
     for node in engine.plan.nodes.values():
         assert node.table == fresh_node_table(node, g)
@@ -799,23 +800,32 @@ def test_audit_flags_dead_plan_node(registered):
     ]
 
 
-@pytest.mark.parametrize("plant", ["group", "edge entry", "probe index"])
-def test_audit_flags_rows_held_by_plain_leaf(registered, plant):
+PLANTS = ["group", "edge entry", "probe index"]
+
+
+@pytest.mark.parametrize("plant, label", [
+    *((plant, "?v0 hasDegree PhD") for plant in PLANTS),
+    *((plant, "?v0 coAuthor ?v0") for plant in PLANTS),
+], ids=PLANTS + [f"{plant}-self-loop" for plant in PLANTS])
+def test_audit_flags_rows_held_by_plain_leaf(registered, plant, label):
+    """No leaf, whatever its shape, may hold rows of its own."""
     engine, _ = registered
+    engine.insert_triple("Ooi", "coAuthor", "Ooi")
+    engine.register_query(parse_query("SELECT ?x ?w WHERE { ?x coAuthor ?x . ?x worksIn ?w . }"))
     plan = engine.plan
-    leaf = next(n for n in plan.nodes.values() if n.plain)
+    [leaf] = [n for n in plan.nodes.values() if n.label() == label]
     row, poly = next(iter(leaf.table.items()))
     assert engine.index_audit() == []
     if plant == "group":
         plan.rows.group(leaf)  # an empty group: no rows to mismatch
-        want = f"plan plain leaf {leaf!r} holds a table group"
+        want = f"plan leaf {leaf!r} holds a table group"
     elif plant == "edge entry":
         [(eid, _)] = poly.terms[0][0]
         bucket_add(plan.edge_rows, eid, (leaf, row))
-        want = f"plan plain leaf {leaf!r} holds edge entries"
+        want = f"plan leaf {leaf!r} holds edge entries"
     else:
         evaluate.node_index(leaf, (0,))  # right for the leaf's rows
-        want = f"plan plain leaf {leaf!r} holds a probe index"
+        want = f"plan leaf {leaf!r} holds a probe index"
     problems = engine.index_audit()
     assert want in problems
     if plant != "edge entry":  # an entry with no row is also a mismatch
@@ -837,8 +847,11 @@ def test_audit_flags_store_corruption(registered):
 
 def test_audit_flags_stale_probe_index(registered):
     engine, _ = registered
-    engine.insert_triple("Ooi", "coAuthor", "Gehrke")  # builds probe indexes
+    # the hasDegree delta probes the join node of ?collab's coAuthor and
+    # worksIn edges, building its index on ?collab
+    engine.insert_triple("Carey", "hasDegree", "PhD")
     node, slots = next((n, s) for n in engine.plan.nodes.values() for s in n.indexes)
+    assert not node.is_leaf
     assert engine.index_audit() == []
     stale = (999,) * node.num_vars  # a row the node's table does not hold
     node.indexes[slots][tuple(stale[s] for s in slots)] = stale  # a one-row bucket
@@ -847,7 +860,7 @@ def test_audit_flags_stale_probe_index(registered):
 
 def test_audit_flags_one_row_set_in_probe_index(registered):
     engine, _ = registered
-    engine.insert_triple("Ooi", "coAuthor", "Gehrke")  # builds probe indexes
+    engine.insert_triple("Carey", "hasDegree", "PhD")  # builds a join node's probe index
     node, idx, slots, key = next(
         (n, idx, s, k)
         for n in engine.plan.nodes.values()

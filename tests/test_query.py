@@ -10,7 +10,6 @@ import pytest
 from kgprov.query import (
     DisconnectedQueryError,
     ParseError,
-    PredicateMetadata,
     QueryGraph,
     TriplePattern,
     UnsupportedFeatureError,
@@ -162,12 +161,11 @@ def test_canonical_varmap_is_consistent():
 # ---------------------------------------------------------------------------
 
 
-def shared_groups(q: QueryGraph, meta: PredicateMetadata | None = None) -> dict:
+def shared_groups(q: QueryGraph) -> dict:
     """Predicate name -> ordinals of the patterns that may co-bind one edge."""
-    meta = meta or PredicateMetadata()
     groups: dict[str, set[int]] = {}
     for a, b in combinations(q.patterns, 2):
-        if a.predicate == b.predicate and may_share_edge(a, b, q.patterns, meta):
+        if a.predicate == b.predicate and may_share_edge(a, b):
             groups.setdefault(a.predicate, set()).update((a.ordinal, b.ordinal))
     return {pred: tuple(sorted(ords)) for pred, ords in groups.items()}
 
@@ -192,8 +190,8 @@ def test_distinct_constants_stay_regular():
 
 
 def test_one_to_one_chain_excludes_sharing():
-    # subjects x and z are distinct because the one-to-one `cites` chain
-    # leads to provably distinct ISBN constants
+    # the `cites` chain leads to distinct ISBN constants, but without
+    # predicate semantics the two `cites` patterns may still share an edge
     q = QueryGraph(
         make(
             [
@@ -207,20 +205,13 @@ def test_one_to_one_chain_excludes_sharing():
     )
     assert classify_query(q).multimap
     assert shared_groups(q) == {"cites": (0, 1)}
-    meta = PredicateMetadata()
-    meta.set("cites", one_to_one=True)
-    meta.set("hasISBN", one_to_one=True)
-    assert not classify_query(q, meta).multimap
 
 
 def test_asymmetric_path_excludes_sharing():
-    # x -> y -> z over one asymmetric predicate: both patterns can never
-    # bind the same edge, since that would need x == y == z, a cycle
+    # x -> y -> z over one predicate: both patterns bind the same edge
+    # when it is a self-loop x == y == z
     q = QueryGraph(
         make([(Var("x"), "partOf", Var("y")), (Var("y"), "partOf", Var("z"))]),
         ["x", "z"],
     )
     assert classify_query(q).multimap
-    meta = PredicateMetadata()
-    meta.set("partOf", asymmetric=True)
-    assert not classify_query(q, meta).multimap
