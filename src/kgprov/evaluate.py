@@ -1,7 +1,12 @@
-"""Provenance-aware evaluation: full query evaluation, plan-table
+"""Provenance-aware evaluation: from-scratch query evaluation, plan-table
 materialization, and single-edge delta propagation through the shared
-plan DAG.  One join (`join_tables`) and one delta rule (`join_delta`)
-serve both the plan's join nodes and the engine's answer joins.
+plan DAG.
+
+`evaluate_patterns` is the one from-scratch evaluator: it enumerates a
+conjunction's matches by index nested loops over the store's edge ids
+and is the reference the maintained answers are checked against.  The
+plan has its own join (`join_tables`) and delta rule (`join_delta`),
+which serve both the plan's join nodes and the engine's answer joins.
 
 Every produced row carries a polynomial whose monomials are exactly the
 edge multisets of its derivations, so deletion reduces to monomial
@@ -12,11 +17,11 @@ nothing to apply on insert and nothing to prune on delete.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids, slot_index
-from .provenance import Polynomial, ResultDelta
+from .provenance import MONO_ONE, Monomial, Polynomial, ResultDelta, mono_mul
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph, bucket_add, bucket_discard, bucket_entries
 
@@ -32,120 +37,68 @@ class BindingRow:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class Table:
-    vars: tuple[str, ...]
-    rows: dict[tuple[int, ...], Polynomial]
+def evaluate_patterns(
+    patterns: Sequence[TriplePattern], g: KnowledgeGraph, variables: Sequence[str]
+) -> dict[tuple[int, ...], Polynomial]:
+    """Every match of a pattern conjunction, found by index nested loops
+    over edge ids: each complete match adds one monomial, the product of
+    its edges, under its values at `variables`.
 
-
-def _var_order(p: TriplePattern) -> tuple[str, ...]:
-    """A pattern's variables by first appearance over (s, p, o)."""
-    return tuple(dict.fromkeys(t.name for t in p.terms() if isinstance(t, Var)))
-
-
-def scan_pattern(p: TriplePattern, g: KnowledgeGraph) -> Table:
-    """Single-pattern scan; each row's polynomial is the edge symbol, and
-    duplicate triples add up in one row.  A constant predicate with a
-    variable endpoint, the form of every plan leaf, is read through a
-    `LeafView`."""
-    if isinstance(p.predicate, Var) or not (isinstance(p.subject, Var) or isinstance(p.object, Var)):
-        return _scan_matching(p, g)
-    return Table(_var_order(p), LeafView(g, p).rows())
-
-
-def _scan_matching(p: TriplePattern, g: KnowledgeGraph) -> Table:
-    """`scan_pattern` for any pattern shape: constants, a variable
-    predicate and repeated variables are matched edge by edge."""
-    ids = pattern_ids(g, p)
-    rows: dict[tuple[int, ...], Polynomial] = {}
-    for e in () if ids is None else g.lookup(*ids):
-        binding: dict[str, int] = {}
-        ok = True
-        for t, value in ((p.subject, e.subject), (p.predicate, e.predicate), (p.object, e.object)):
-            if isinstance(t, Var):
-                if t.name in binding and binding[t.name] != value:
-                    ok = False
-                    break
-                binding[t.name] = value
-        if not ok:
-            continue
-        key = tuple(binding.values())
-        poly = Polynomial.edge(e.id)
-        rows[key] = rows[key] + poly if key in rows else poly
-    return Table(_var_order(p), rows)
-
-
-def hash_join(a: Table, b: Table) -> Table:
-    """Join on shared variables (cross product when none); polynomials
-    multiply across the join and add on duplicate output bindings."""
-    if len(b.rows) < len(a.rows):
-        a, b = b, a  # build on the smaller input
-    shared = [v for v in a.vars if v in b.vars]
-    a_pos = [a.vars.index(v) for v in shared]
-    b_pos = [b.vars.index(v) for v in shared]
-    b_extra = [i for i, v in enumerate(b.vars) if v not in a.vars]
-    out_vars = a.vars + tuple(b.vars[i] for i in b_extra)
-
-    build: dict[tuple[int, ...], list[tuple[tuple[int, ...], Polynomial]]] = {}
-    for row, poly in a.rows.items():
-        build.setdefault(tuple(row[i] for i in a_pos), []).append((row, poly))
-
-    rows: dict[tuple[int, ...], Polynomial] = {}
-    for brow, bpoly in b.rows.items():
-        for arow, apoly in build.get(tuple(brow[i] for i in b_pos), ()):
-            key = arow + tuple(brow[i] for i in b_extra)
-            poly = apoly * bpoly
-            rows[key] = rows[key] + poly if key in rows else poly
-    return Table(out_vars, rows)
-
-
-def _pattern_selectivity(p: TriplePattern, g: KnowledgeGraph) -> int:
-    ids = pattern_ids(g, p)
-    return 0 if ids is None else g.count(*ids)
-
-
-def evaluate_patterns(patterns: list[TriplePattern], g: KnowledgeGraph) -> Table:
-    """Full-binding evaluation of a pattern conjunction.
-
-    Greedy join order: start from the most selective scan, then always
-    extend with a variable-connected pattern of minimal match count.
+    Greedy order: patterns sorted by (matching edges, ordinal), each step
+    taking the first one variable-connected to the variables bound so
+    far, or else the first one left.  A step reads its edges through
+    `lookup_ids` with its constants and bound endpoints, and drops those
+    that bind a repeated variable two ways.
     """
-    if not patterns:
-        return Table((), {(): Polynomial.one()})
-    remaining = sorted(patterns, key=lambda p: (_pattern_selectivity(p, g), p.ordinal))
-    first = remaining.pop(0)
-    table = scan_pattern(first, g)
-    bound = set(first.variables())
-    while remaining:
-        connected = [p for p in remaining if p.variables() & bound] or remaining
-        nxt = min(connected, key=lambda p: (_pattern_selectivity(p, g), p.ordinal))
-        remaining.remove(nxt)
-        table = hash_join(table, scan_pattern(nxt, g))
-        bound |= nxt.variables()
-        if not table.rows:
-            break
-    return table
+    ids = [pattern_ids(g, p) for p in patterns]
+    if None in ids:  # a constant absent from the store matches nothing
+        return {}
+    left = sorted(zip(patterns, ids), key=lambda t: (len(g.lookup_ids(*t[1])), t[0].ordinal))
+    # per step: its (s, p, o) ids, the positions of the variables bound
+    # before it, the Edge field (id, subject, predicate, object) that
+    # binds each new variable, and the field pairs a repeated new
+    # variable needs equal
+    steps, bound = [], set()
+    while left:
+        p, pids = left.pop(next((i for i, (q, _) in enumerate(left) if q.variables() & bound), 0))
+        names = [t.name if isinstance(t, Var) else None for t in p.terms()]
+        known = [(i, n) for i, n in enumerate(names) if n in bound]
+        new = [(n, i + 1) for i, n in enumerate(names) if n is not None and n not in bound]
+        binds = dict(reversed(new))  # the first field of each
+        same = [(binds[n], at) for n, at in new if binds[n] != at]
+        steps.append((pids, known, list(binds.items()), same))
+        bound |= p.variables()
 
+    edges, lookup = g.edges, g.lookup_ids
+    env: dict[str, int] = {}
+    found: dict[tuple[int, ...], dict[Monomial, int]] = {}
 
-def project(table: Table, variables: list[str]) -> Table:
-    """Project to the given variables, adding polynomials of merged rows."""
-    if not table.rows:
-        # empty tables may carry a truncated var list (early-out joins)
-        return Table(tuple(variables), {})
-    pos = [table.vars.index(v) for v in variables]
-    rows: dict[tuple[int, ...], Polynomial] = {}
-    for row, poly in table.rows.items():
-        key = tuple(row[i] for i in pos)
-        rows[key] = rows[key] + poly if key in rows else poly
-    return Table(tuple(variables), rows)
+    def extend(depth: int, mono: Monomial) -> None:
+        if depth == len(steps):
+            terms = found.setdefault(tuple(env[v] for v in variables), {})
+            terms[mono] = terms.get(mono, 0) + 1
+            return
+        pids, known, binds, same = steps[depth]
+        key = list(pids)
+        for i, n in known:
+            key[i] = env[n]
+        for eid in lookup(*key):
+            e = edges[eid]
+            if same and any(e[a] != e[b] for a, b in same):
+                continue
+            for n, at in binds:
+                env[n] = e[at]
+            extend(depth + 1, mono_mul(mono, ((eid, 1),)))
+
+    extend(0, MONO_ONE)
+    return {row: Polynomial(terms) for row, terms in found.items()}
 
 
 def evaluate_bgp(q: QueryGraph, g: KnowledgeGraph) -> list[BindingRow]:
     """All answers of q, projected, with merged provenance polynomials."""
-    table = project(evaluate_patterns(q.patterns, g), q.projection)
     return [
-        BindingRow(dict(zip(table.vars, row)), poly)
-        for row, poly in table.rows.items()
+        BindingRow(dict(zip(q.projection, row)), poly)
+        for row, poly in evaluate_patterns(q.patterns, g, q.projection).items()
     ]
 
 

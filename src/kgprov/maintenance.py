@@ -4,19 +4,21 @@ A query's answers are the projection of one join of two plan nodes: the
 leaf of a pattern k whose removal leaves the other patterns
 variable-connected, and the root of those other patterns.  Registration
 merges only their join chain and that leaf into the shared global plan,
-and materializes what is new.  Each edge insertion is answered by the
-plan's delta rule applied to the join, and each deletion by pruning the
-polynomials of the answers and the plan tables, two provenance-indexed
-tables -- no query is ever re-executed from scratch.  A plan leaf keeps
-no table: the answer join, and a single-pattern query's answers, read
-it from the store through its `LeafView`, so the store's own update is
-all it needs.
+and materializes what is new; if any of that fails, the nodes it created
+are dropped again, so a failed registration leaves the engine as it
+was.  Each edge insertion is answered by the plan's delta rule applied
+to the join, and each deletion by pruning the polynomials of the answers
+and the plan tables, two provenance-indexed tables -- no query is ever
+re-executed from scratch.  A plan leaf keeps no table: the answer join,
+and a single-pattern query's answers, read it from the store through its
+`LeafView`, so the store's own update is all it needs.
 
 Connection points (a subquery component's match waiting at a vertex for
 an edge with a given label and direction) are neither planned nor
 stored: `all_annotations` generates the one-pattern-removed subqueries
-and evaluates every component from the store when asked, for inspection
-only.  Registration generates no subquery.
+and evaluates every component from the store with `evaluate_patterns`
+when asked, for inspection only.  Registration and updates never call
+that evaluator, and registration generates no subquery.
 """
 
 from __future__ import annotations
@@ -173,12 +175,6 @@ class Engine:
         # predicate -> the registered queries that mention it
         self._by_pred: dict[str, list[RegisteredQuery]] = {}
 
-    @property
-    def edge_to_result(self) -> dict:
-        """Edge id -> the (query id, answer row) pairs whose polynomial
-        uses it, one pair bare and more in a set."""
-        return self.answers.by_edge
-
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
@@ -197,8 +193,6 @@ class Engine:
         if form in self._registered_forms:
             raise QueryError("query already registered")
 
-        qid = self._next_qid
-        self._next_qid += 1
         stats = self._current_stats()
 
         # the answer join root(k) ⋈ leaf(k), with k the first pattern
@@ -210,27 +204,37 @@ class Engine:
             rest = q.patterns[:k] + q.patterns[k + 1:]
             if variable_connected(rest):
                 break
-        root = probes = None
-        if rest:
-            root, root_vm = merge_into_global(self.plan, select_best_plan(rest, stats), stats)
-            root.roots += 1
-        leaf, leaf_vm = merge_into_global(self.plan, [q.patterns[k]], stats)
-        materialize_plan(self.plan, self.graph)
-        # join rows hold the distinct projected variables, so the join
-        # itself sums the derivations of each answer
-        proj = list(dict.fromkeys(q.projection))
-        if root is not None:
-            order = proj + sorted(q.variables() - set(proj))
-            slot = {v: i for i, v in enumerate(order)}
-            rmap = {s: slot[v] for v, s in root_vm.items()}
-            lmap = {s: slot[v] for v, s in leaf_vm.items()}
-            probes = (join_probe(rmap, lmap, len(proj)), join_probe(lmap, rmap, len(proj)))
-            positions = tuple(proj.index(v) for v in q.projection)
-        else:
-            positions = tuple(leaf_vm[v] for v in q.projection)
-        rq = RegisteredQuery(qid, q, leaf, root, probes, tuple_getter(positions))
+        qid, size = self._next_qid, len(self.plan.nodes)
+        try:
+            root = probes = None
+            if rest:
+                root, root_vm = merge_into_global(self.plan, select_best_plan(rest, stats), stats)
+            leaf, leaf_vm = merge_into_global(self.plan, [q.patterns[k]], stats)
+            materialize_plan(self.plan, self.graph)
+            # join rows hold the distinct projected variables, so the
+            # join itself sums the derivations of each answer
+            proj = list(dict.fromkeys(q.projection))
+            if root is not None:
+                order = proj + sorted(q.variables() - set(proj))
+                slot = {v: i for i, v in enumerate(order)}
+                rmap = {s: slot[v] for v, s in root_vm.items()}
+                lmap = {s: slot[v] for v, s in leaf_vm.items()}
+                probes = (join_probe(rmap, lmap, len(proj)), join_probe(lmap, rmap, len(proj)))
+                positions = tuple(proj.index(v) for v in q.projection)
+            else:
+                positions = tuple(leaf_vm[v] for v in q.projection)
+            rq = RegisteredQuery(qid, q, leaf, root, probes, tuple_getter(positions))
+            self.answers.add(qid, self._answer_join(rq))
+        except BaseException:
+            # drop the nodes this registration created, with their rows
+            # and edge entries, so that a failure leaves the engine as it was
+            self.plan.truncate(size)
+            self.answers.drop(qid)
+            raise
 
-        self.answers.add(qid, self._answer_join(rq))
+        if root is not None:
+            root.roots += 1
+        self._next_qid += 1
         rq.answers = self.answers.group(qid)
         self.queries[qid] = rq
         self._registered_forms.add(form)
@@ -361,12 +365,17 @@ class Engine:
         """Rebuild all inverted indexes, the store's and the plan's join
         probe indexes included, from first principles and diff them
         against the live ones, check that every stored polynomial is
-        canonical, that no leaf holds a group, edge entries or a probe
-        index, that every plan node feeds some answer join and that its
-        `roots` count the joins rooted at it, and recompute every query's
-        answers from its answer join; an empty list means consistent."""
+        canonical, that every row group belongs to a plan node or a
+        registered query, that no leaf holds a group, edge entries or a
+        probe index, that every plan node feeds some answer join and that
+        its `roots` count the joins rooted at it, and recompute every
+        query's answers from its answer join; an empty list means
+        consistent."""
         problems = self.graph.audit()
         problems += [f"edge-to-result {p}" for p in self.answers.audit()]
+        problems += [
+            f"answers of unregistered query {q}" for q in self.answers.groups if q not in self.queries
+        ]
         problems += [f"plan {p}" for p in self.plan.audit()]
         queries = self.queries.values()
         joins = [n for rq in queries for n in (rq.root, rq.leaf) if n is not None]
@@ -414,9 +423,9 @@ class Engine:
                     anchors = _anchors(sq, ci)
                     if not anchors:
                         continue
-                    table = evaluate_patterns(comp, self.graph)
-                    for row, poly in table.rows.items():
-                        bindings = dict(zip(table.vars, row))
+                    names = sorted(set().union(*(p.variables() for p in comp)))
+                    for row, poly in evaluate_patterns(comp, self.graph, names).items():
+                        bindings = dict(zip(names, row))
                         result = tuple(bindings[v] for v in q.projection if v in bindings)
                         for x, direction in anchors:
                             vertex = bindings[x.name] if isinstance(x, Var) else self.graph.node(x)

@@ -476,19 +476,26 @@ class GlobalPlan:
         # nodes created since the last materialization, children first
         self.pending: list[PlanNode] = []
 
-    @property
-    def edge_rows(self) -> dict:
-        """Edge id -> the (node, row) pairs whose polynomial mentions it,
-        one pair bare and more in a set."""
-        return self.rows.by_edge
+    def truncate(self, size: int) -> None:
+        """Drop every node created after the first `size`, with its rows
+        and edge entries, and empty `pending`."""
+        for node in list(self.nodes.values())[size:]:
+            del self.nodes[node.key]
+            self.rows.drop(node)
+        self.pending.clear()
 
     def audit(self) -> list[str]:
-        """The row table's audit, plus every leaf that holds a group, an
-        edge entry or a probe index, every join-probe index bucket that
-        breaks the bucket invariant and every index that differs from one
-        rebuilt from its node's table."""
+        """The row table's audit, plus every group of a node not in the
+        plan, every leaf that holds a group, an edge entry or a probe
+        index, every join-probe index bucket that breaks the bucket
+        invariant and every index that differs from one rebuilt from its
+        node's table."""
         problems = self.rows.audit()
-        problems += [f"leaf {node!r} holds a table group" for node in self.rows.groups if node.is_leaf]
+        for node in self.rows.groups:
+            if node.is_leaf:
+                problems.append(f"leaf {node!r} holds a table group")
+            if self.nodes.get(node.key) is not node:
+                problems.append(f"table group of {node!r}, which is not in the plan")
         problems += sorted({
             f"leaf {node!r} holds edge entries"
             for bucket in self.rows.by_edge.values()

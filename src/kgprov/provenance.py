@@ -265,6 +265,12 @@ class ProvTable:
         """The live row dict of a group, created empty on first use."""
         return self.groups.setdefault(name, {})
 
+    def drop(self, name: Hashable) -> None:
+        """Remove a group, if there is one, and unindex its rows."""
+        for row, poly in self.groups.pop(name, {}).items():
+            for eid in poly.edges():
+                bucket_discard(self.by_edge, eid, (name, row))
+
     def add(self, name: Hashable, delta: dict[Row, Polynomial]) -> list[Row]:
         """Add each polynomial onto its row of the group, creating rows
         as needed; returns the rows that did not exist before."""

@@ -14,7 +14,7 @@ more, and an empty bucket is no key at all.
 
 from __future__ import annotations
 
-from typing import Collection, Hashable, Iterable, Iterator, NamedTuple
+from typing import Collection, Hashable, Iterable, NamedTuple
 
 
 class Edge(NamedTuple):
@@ -214,17 +214,6 @@ class KnowledgeGraph:
         one, key -> bucket of edge ids, for a caller that probes it once
         per row; it must not mutate it."""
         return self._by_sp if subject else self._by_po
-
-    def lookup(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> Iterator[Edge]:
-        for eid in self.lookup_ids(s, p, o):
-            yield self.edges[eid]
-
-    def count(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> int:
-        return len(self.lookup_ids(s, p, o))
 
     # --- consistency ---
 

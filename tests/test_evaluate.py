@@ -6,14 +6,12 @@ from __future__ import annotations
 import random
 
 from kgprov.evaluate import (
-    _scan_matching,
     apply_insert_deltas,
     compute_insert_deltas,
     delta_delete,
     evaluate_bgp,
-    hash_join,
+    evaluate_patterns,
     materialize_plan,
-    scan_pattern,
 )
 from kgprov.planner import (
     GlobalPlan,
@@ -23,7 +21,7 @@ from kgprov.planner import (
     select_best_plan,
 )
 from kgprov.provenance import Polynomial
-from kgprov.query import TriplePattern, Var, canonicalize, parse_query
+from kgprov.query import QueryGraph, TriplePattern, Var, canonicalize, parse_query
 from kgprov.store import KnowledgeGraph, bucket_entries
 from kgprov.workload import random_graph, random_query
 
@@ -46,33 +44,42 @@ def as_answer_dict(q, rows):
 # ---------------------------------------------------------------------------
 
 
+def oracle_rows(p, g):
+    """One pattern's rows from the oracle, keyed by its variables in
+    order of first appearance over (s, p, o), the layout of a leaf."""
+    names = list(dict.fromkeys(t.name for t in p.terms() if isinstance(t, Var)))
+    rows = {}
+    for env, (eid,) in enumerate_matches([p], g):
+        key = tuple(env[v] for v in names)
+        rows[key] = rows.get(key, Polynomial.zero()) + Polynomial.edge(eid)
+    return rows
+
+
 def test_leaf_scan_rows_carry_edge_symbols(academia):
     g = academia
-    t = scan_pattern(
-        TriplePattern(Var("x"), "hadAdvisor", Var("y"), ordinal=0), g
-    )
-    assert set(t.vars) == {"x", "y"}
-    assert len(t.rows) == 5
-    for row, poly in t.rows.items():
+    p = TriplePattern(Var("x"), "hadAdvisor", Var("y"), ordinal=0)
+    rows = evaluate_patterns([p], g, ["x", "y"])
+    assert LeafView(g, p).rows() == rows
+    assert len(rows) == 5
+    for row, poly in rows.items():
         eids = sorted(poly.edges())
         assert len(eids) == 1 and poly == Polynomial.edge(eids[0])
 
 
 def test_scan_constant_absent_from_graph(academia):
-    t = scan_pattern(
-        TriplePattern(Var("x"), "hadAdvisor", "Nobody", ordinal=0), academia
-    )
-    assert t.rows == {}
+    p = TriplePattern(Var("x"), "hadAdvisor", "Nobody", ordinal=0)
+    assert evaluate_patterns([p], academia, ["x"]) == {}
+    assert LeafView(academia, p).rows() == {}
 
 
 def test_leaf_scan_fast_path_matches_generic_scan():
-    """A constant predicate with a variable endpoint is read through a
-    `LeafView`; it must give what the edge-by-edge matcher gives,
-    duplicate triples summed into one row and a self-loop edge kept.  A
-    variable predicate takes the matcher itself.  For every leaf shape,
-    the view's rows, count, row lookup and the row an inserted edge adds
-    agree with the matcher, a constant that enters the store only later
-    included."""
+    """A plan leaf, a constant predicate with a variable endpoint, is
+    read through a `LeafView`; it must give what the oracle gives,
+    duplicate triples summed into one row and a self-loop edge kept, and
+    so must the from-scratch evaluator on any one pattern, a variable
+    predicate included.  For every leaf shape, the view's rows, count,
+    row lookup and the row an inserted edge adds agree with the oracle,
+    a constant that enters the store only later included."""
     g = KnowledgeGraph()
     for s, p, o in [
         ("a", "p", "b"), ("a", "p", "b"), ("a", "p", "b"),  # duplicates
@@ -86,8 +93,9 @@ def test_leaf_scan_fast_path_matches_generic_scan():
         (x, "p", x), (x, "q", x), ("a", "p", y), (x, "p", "b"), (x, y, "a"),
     ]:
         p = TriplePattern(*pattern, ordinal=0)
-        assert scan_pattern(p, g) == _scan_matching(p, g), pattern
-    rows = scan_pattern(TriplePattern(x, "p", y, ordinal=0), g).rows
+        names = list(dict.fromkeys(t.name for t in p.terms() if isinstance(t, Var)))
+        assert evaluate_patterns([p], g, names) == oracle_rows(p, g), pattern
+    rows = evaluate_patterns([TriplePattern(x, "p", y, ordinal=0)], g, ["x", "y"])
     a, b = g.node("a"), g.node("b")
     assert rows[(a, b)] == Polynomial.parse("e1 + e2 + e3")
     assert rows[(b, b)] == Polynomial.parse("e4")
@@ -104,7 +112,7 @@ def test_leaf_scan_fast_path_matches_generic_scan():
     views = [LeafView(g, p) for p in leaves]
 
     def check(p, view):
-        want = _scan_matching(p, g).rows
+        want = oracle_rows(p, g)
         assert view.rows() == want, p
         assert dict(view) == want and len(view) == len(want), p
         assert view.count() >= len(want), p
@@ -133,19 +141,62 @@ def test_leaf_scan_fast_path_matches_generic_scan():
     assert [p.predicate for p, t in zip(leaves, tables) if not t] == ["absent"]
 
 
-def test_hash_join_agrees_with_oracle(academia):
-    g = academia
-    pats = [
-        TriplePattern(Var("s"), "hadAdvisor", Var("p"), ordinal=0),
-        TriplePattern(Var("p"), "worksIn", Var("o"), ordinal=1),
-    ]
-    joined = hash_join(scan_pattern(pats[0], g), scan_pattern(pats[1], g))
-    want = {}
-    for env, eids in enumerate_matches(pats, g):
-        row = tuple(env[v] for v in joined.vars)
-        mono = tuple(sorted((e, eids.count(e)) for e in set(eids)))
-        want[row] = want.get(row, Polynomial.zero()) + Polynomial.monomial(mono)
-    assert joined.rows == want
+# conjunctions that reach every shape the evaluator handles: a variable
+# predicate, a variable repeated in one pattern, an all-constant pattern,
+# two components linked only by a constant (a cross product), an absent
+# constant, and patterns that one edge can match at once
+SHAPES = [
+    "?x ?r ?y . ?y {p} ?z",
+    "?x {p} ?x . ?x {q} ?y",
+    "?x ?r ?x",
+    "{a} {p} {b} . ?x {q} {a}",
+    "?x {p} {a} . {a} {q} ?y",
+    "?x {p} ?y . ?y {q} Nobody",
+    "?x {p} ?y . ?z {p} ?y",
+    "?x {p} ?y . ?y {p} ?z . ?z {q} ?x",
+]
+
+
+def patterns_of(body):
+    return parse_query(f"SELECT ?x WHERE {{ {body} . }}").patterns
+
+
+def test_evaluate_patterns_agrees_with_oracle(academia):
+    """Full bindings and projected answers equal the oracle's for every
+    shape in SHAPES, the empty conjunction and random connected queries,
+    on a hand-built graph with duplicate triples and self-loops, on the
+    running example's graph and on seeded random graphs."""
+    g = KnowledgeGraph()
+    for triple in [
+        ("a", "p", "b"), ("a", "p", "b"),  # e1 and e2 are duplicates
+        ("b", "p", "b"), ("b", "q", "a"), ("b", "q", "a"), ("a", "q", "a"),
+        ("c", "p", "a"), ("a", "q", "c"), ("c", "q", "b"),
+    ]:
+        g.insert_triple(*triple)
+    a, b, c = (g.node(n) for n in "abc")
+    # one edge matches both patterns, and so does its duplicate
+    both = evaluate_patterns(patterns_of("?x p ?y . ?z p ?y"), g, ["x", "y", "z"])
+    assert both[(a, b, a)] == Polynomial.parse("e1^2 + 2*e1*e2 + e2^2")
+    # linked only by the constant a: one match of the first times two
+    assert evaluate_patterns(patterns_of("?x p a . a q ?y"), g, ["x", "y"]) == {
+        (c, a): Polynomial.parse("e6*e7"),
+        (c, c): Polynomial.parse("e7*e8"),
+    }
+    assert evaluate_patterns(patterns_of("?x p ?y . ?y q Nobody"), g, ["x"]) == {}
+    assert evaluate_patterns([], g, []) == {(): Polynomial.one()}
+
+    rng = random.Random(29)
+    graphs = [(g, "a", "b", "p", "q"), (academia, "PhD", "Stonebraker", "coAuthor", "worksIn")]
+    graphs += [(random_graph(rng, 5, 2, 25), "n0", "n1", "p0", "p1") for _ in range(6)]
+    for graph, a, b, p, q in graphs:
+        conjunctions = [patterns_of(s.format(a=a, b=b, p=p, q=q)) for s in SHAPES] + [[]]
+        conjunctions += [random_query(graph, rng, rng.randrange(1, 5)).patterns for _ in range(5)]
+        for pats in conjunctions:
+            names = sorted(set().union(*(t.variables() for t in pats)))
+            for variables in (names, names[:1]):
+                assert evaluate_patterns(pats, graph, variables) == brute_force_answers(
+                    QueryGraph(pats, variables), graph
+                ), (pats, variables)
 
 
 def test_running_example_answer(academia, running_query):
@@ -228,14 +279,14 @@ def test_edge_rows_cover_every_table_row(academia, running_query):
     materialize_plan(plan, academia)
     # a bucket holding one (node, row) pair is the bare pair
     listed = {
-        entry for bucket in plan.edge_rows.values() for entry in bucket_entries(bucket)
+        entry for bucket in plan.rows.by_edge.values() for entry in bucket_entries(bucket)
     }
     actual = {
         (node, row) for node in plan.nodes.values() if not node.is_leaf for row in node.table
     }
     assert actual == listed
     assert any(node.is_leaf and node.table for node in plan.nodes.values())
-    assert any(bucket.__class__ is tuple for bucket in plan.edge_rows.values())
+    assert any(bucket.__class__ is tuple for bucket in plan.rows.by_edge.values())
 
 
 def test_delta_insert_matches_rematerialization(academia, running_query):

@@ -11,7 +11,7 @@ import pytest
 from kgprov import evaluate, maintenance
 from kgprov.evaluate import evaluate_patterns, materialize_plan
 from kgprov.maintenance import IN, OUT, Engine
-from kgprov.planner import LeafView, merge_into_global, select_best_plan
+from kgprov.planner import LeafView, merge_into_global, plan_dump, select_best_plan
 from kgprov.provenance import Polynomial
 from kgprov.query import (
     QueryError,
@@ -22,11 +22,11 @@ from kgprov.query import (
     canonicalize,
     parse_query,
 )
-from kgprov.store import KnowledgeGraph, bucket_add
+from kgprov.store import KnowledgeGraph, bucket_add, load_ntriples_file
 from kgprov.subquery import SubqueryType, generate_subqueries
 from kgprov.workload import random_graph, random_query
 
-from conftest import RUNNING_QUERY, brute_force_answers, enumerate_matches
+from conftest import FIXTURE, RUNNING_QUERY, brute_force_answers, enumerate_matches
 
 
 @pytest.fixture
@@ -260,8 +260,8 @@ def engine_state(engine):
         [copied(index) for index, _ in g._buckets(None, None, None)],
         {node: dict(node.table) for node in engine.plan.nodes.values()},
         {qid: dict(rq.answers) for qid, rq in engine.queries.items()},
-        copied(engine.plan.edge_rows),
-        copied(engine.edge_to_result),
+        copied(engine.plan.rows.by_edge),
+        copied(engine.answers.by_edge),
     )
 
 
@@ -290,6 +290,75 @@ def test_failed_delete_leaves_engine_unchanged(registered, running_query, monkey
     [(row, poly)] = report.pruned[1]
     assert poly == Polynomial.parse("e2*e3*e6*e8*e17")
     assert answer_dict(engine, 1) == brute_force_answers(running_query, g)
+    assert engine.index_audit() == []
+
+
+PRIOR_QUERY = "SELECT ?a WHERE { ?a hasDegree PhD . ?a worksIn ?w . }"
+
+
+def registration_state(engine):
+    """`engine_state`, plus what only a registration changes: the plan's
+    nodes in order with their roots counts and row groups, the pending
+    queue, the answer groups and the next query id."""
+    plan = engine.plan
+    return engine_state(engine) + (
+        [(node, node.roots) for node in plan.nodes.values()],
+        list(plan.rows.groups),
+        list(plan.pending),
+        list(engine.answers.groups),
+        engine._next_qid,
+    )
+
+
+@pytest.mark.parametrize("phase", ["merge", "materialize", "answer join", "answer rows"])
+def test_failed_registration_leaves_engine_unchanged(engine, running_query, monkeypatch, phase):
+    """A fault in any phase of a registration drops the plan nodes it
+    created, with their rows and edge entries, and leaves the nodes it
+    shares with an earlier query as they were; registering the query
+    again then builds the plan that a fresh engine builds."""
+    engine.register_query(parse_query(PRIOR_QUERY))
+    before = registration_state(engine)
+
+    def fault_on_call(n, real):
+        calls = []
+
+        def faulty(*args):
+            calls.append(args)
+            if len(calls) == n:
+                raise RuntimeError("injected fault")
+            return real(*args)
+
+        return faulty
+
+    if phase == "merge":
+        # the rest's join chain is merged, then k's leaf faults
+        monkeypatch.setattr(maintenance, "merge_into_global", fault_on_call(2, merge_into_global))
+    elif phase == "materialize":
+        # one new join node is filled, then the next one faults
+        monkeypatch.setattr(evaluate, "join_tables", fault_on_call(2, evaluate.join_tables))
+    elif phase == "answer join":
+        monkeypatch.setattr(maintenance, "join_tables", fault_on_call(1, maintenance.join_tables))
+    else:
+        real_add = engine.answers.add
+
+        def add_then_fault(*args):
+            real_add(*args)
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(engine.answers, "add", add_then_fault)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        engine.register_query(running_query)
+    monkeypatch.undo()
+    assert registration_state(engine) == before
+    assert engine.index_audit() == []
+
+    receipt = engine.register_query(running_query)
+    assert receipt.query_id == 2
+    fresh = Engine(load_ntriples_file(FIXTURE))
+    fresh.register_query(parse_query(PRIOR_QUERY))
+    fresh.register_query(running_query)
+    assert plan_dump(engine.plan) == plan_dump(fresh.plan)
+    assert answer_dict(engine, 2) == answer_dict(fresh, 2)
     assert engine.index_audit() == []
 
 
@@ -562,7 +631,7 @@ def test_statistics_follow_every_update(engine):
     g = engine.graph
     engine._current_stats()
     engine.insert_triple("Ooi", "coAuthor", "Gehrke")
-    coauthor = [e.id for e in g.lookup(p=g.predicates.get("coAuthor"))]
+    coauthor = list(g.lookup_ids(p=g.predicates.get("coAuthor")))
     engine.delete_edge(coauthor[0])
     engine.delete_edge(coauthor[1])
     stats = engine._current_stats()
@@ -585,7 +654,7 @@ def test_update_releases_statistics_catalog(engine, running_query, monkeypatch):
     assert engine._stats_cache is None
     engine.register_query(parse_query("SELECT ?a WHERE { ?a coAuthor ?b . ?b worksIn ?w . }"))
     assert len(built) == 2
-    coauthor = [e.id for e in g.lookup(p=g.predicates.get("coAuthor"))]
+    coauthor = list(g.lookup_ids(p=g.predicates.get("coAuthor")))
     assert engine._current_stats().pred_count("coAuthor") == len(coauthor)
 
     engine.delete_edge(coauthor[0])
@@ -600,9 +669,7 @@ def test_update_releases_statistics_catalog(engine, running_query, monkeypatch):
 def fresh_node_table(node, g):
     """A plan node's table evaluated from the store by full BGP
     evaluation of its patterns, keyed by var slot."""
-    table = evaluate_patterns(node.patterns, g)
-    order = sorted(range(len(table.vars)), key=lambda i: int(table.vars[i][1:]))
-    return {tuple(row[i] for i in order): poly for row, poly in table.rows.items()}
+    return evaluate_patterns(node.patterns, g, [f"v{i}" for i in range(node.num_vars)])
 
 
 def test_each_plan_node_materialized_once(engine, monkeypatch):
@@ -610,12 +677,13 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
     table, as joins read it from the store."""
     g = engine.graph
     filled = collections.Counter()  # node -> tables written
-    scanned = []  # patterns scanned into a table
+    scanned = []  # pattern lists evaluated from scratch
     real_materialize = maintenance.materialize_plan
-    for name in ("scan_pattern", "_scan_matching"):
-        real_scan = getattr(evaluate, name)
+    real_evaluate = evaluate.evaluate_patterns
+    for module in (evaluate, maintenance):
         monkeypatch.setattr(
-            evaluate, name, lambda p, graph, real_scan=real_scan: scanned.append(p) or real_scan(p, graph)
+            module, "evaluate_patterns",
+            lambda patterns, *a: scanned.append(patterns) or real_evaluate(patterns, *a),
         )
 
     def counting_materialize(plan, graph):
@@ -766,7 +834,7 @@ def test_audit_flags_planted_corruption(registered):
     engine, _ = registered
     assert engine.index_audit() == []
     # plant a stale inverted-index entry for a non-existent edge
-    engine.edge_to_result.setdefault(999, set()).add((1, (0, 0)))
+    engine.answers.by_edge.setdefault(999, set()).add((1, (0, 0)))
     problems = engine.index_audit()
     assert problems
     assert any("999" in p for p in problems)
@@ -781,6 +849,18 @@ def test_audit_flags_wrong_answer_polynomial(registered):
     # join can tell
     answers[row] = answers[row] + answers[row]
     assert engine.index_audit() == [f"answer mismatch in query 1 at {row}"]
+
+
+def test_audit_flags_orphan_row_groups(registered):
+    """A row group of a node that left the plan, or of a query that is
+    not registered, is what a half-undone registration would leave."""
+    engine, _ = registered
+    [node] = [n for n in engine.plan.nodes.values() if n.roots]
+    del engine.plan.nodes[node.key]
+    engine.answers.add(99, {(0,): Polynomial.edge(1)})
+    problems = engine.index_audit()
+    assert f"plan table group of {node!r}, which is not in the plan" in problems
+    assert "answers of unregistered query 99" in problems
 
 
 def test_audit_flags_dead_plan_node(registered):
@@ -821,7 +901,7 @@ def test_audit_flags_rows_held_by_plain_leaf(registered, plant, label):
         want = f"plan leaf {leaf!r} holds a table group"
     elif plant == "edge entry":
         [(eid, _)] = poly.terms[0][0]
-        bucket_add(plan.edge_rows, eid, (leaf, row))
+        bucket_add(plan.rows.by_edge, eid, (leaf, row))
         want = f"plan leaf {leaf!r} holds edge entries"
     else:
         evaluate.node_index(leaf, (0,))  # right for the leaf's rows
@@ -879,7 +959,7 @@ def test_audit_flags_one_row_set_in_probe_index(registered):
 @pytest.mark.parametrize("table", ["edge-to-result", "plan"])
 def test_audit_flags_one_entry_set_in_edge_index(registered, table):
     engine, _ = registered
-    index = engine.edge_to_result if table == "edge-to-result" else engine.plan.edge_rows
+    index = engine.answers.by_edge if table == "edge-to-result" else engine.plan.rows.by_edge
     eid, entry = next((e, b) for e, b in index.items() if b.__class__ is tuple)
     index[eid] = {entry}  # the right (group, row) pair, but in a one-element set
     assert engine.index_audit() == [f"{table} set bucket of 1 at e{eid}"]
@@ -924,6 +1004,6 @@ def test_audit_flags_noncanonical_polynomial(registered, plant):
 
 def test_audit_flags_missing_entry(registered):
     engine, _ = registered
-    eid, entries = next(iter(engine.edge_to_result.items()))
-    engine.edge_to_result[eid] = set()
+    eid, entries = next(iter(engine.answers.by_edge.items()))
+    engine.answers.by_edge[eid] = set()
     assert engine.index_audit()

@@ -1,7 +1,8 @@
 """Stateful property test of the engine: random interleavings of query
-registrations, edge inserts (duplicate triples included) and edge
-deletes.  After every step each registered query's answers must equal
-the brute-force oracle's and the index audit must be empty."""
+registrations (some with a planted fault), edge inserts (duplicate
+triples included) and edge deletes.  After every step each registered
+query's answers must equal the brute-force oracle's and the index audit
+must be empty."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from kgprov import evaluate, maintenance
 from kgprov.maintenance import Engine
 from kgprov.query import EXACT_CANONICAL_LIMIT, QueryError, Var, canonicalize, parse_query
 from kgprov.store import KnowledgeGraph
@@ -37,6 +39,12 @@ CHAIN_QUERY = "SELECT ?x0 ?x{n} WHERE {{ {body} }}".format(
 MAX_QUERIES = 6
 # code paths a run must have reached (see test_engine_tracks_oracle_...)
 REACHED: set[str] = set()
+# registration phase -> the (module, function) a planted fault replaces
+FAULTS = {
+    "merge": (maintenance, "merge_into_global"),
+    "materialize": (evaluate, "join_tables"),
+    "answer join": (maintenance, "join_tables"),
+}
 # store lookups with both endpoints bound, counted by the test; during
 # an insert only a probe into a plain leaf makes one
 TWO_ENDPOINT_READS = [0]
@@ -132,6 +140,32 @@ class EngineMachine(RuleBasedStateMachine):
         ):
             REACHED.add("heuristic canonical form")
 
+    @precondition(lambda self: len(self.engine.queries) < MAX_QUERIES)
+    @rule(q=queries(), phase=st.sampled_from(sorted(FAULTS)), calls=st.integers(0, 2))
+    def register_faulting(self, q, phase, calls):
+        """Register with a fault planted in `phase`, after `calls` calls
+        that succeed: a registration that reaches it must leave the plan,
+        its rows and the next query id as they were."""
+        engine, (module, name) = self.engine, FAULTS[phase]
+        plan, real = engine.plan, getattr(module, name)
+        before = (list(plan.nodes.items()), list(plan.rows.groups), engine._next_qid)
+
+        def faulty(*args):
+            if len(made) == calls:
+                raise RuntimeError("injected fault")
+            made.append(args)
+            return real(*args)
+
+        made: list = []
+        setattr(module, name, faulty)
+        try:
+            self._register(q)
+        except RuntimeError:
+            assert (list(plan.nodes.items()), list(plan.rows.groups), engine._next_qid) == before
+            REACHED.add(f"failed registration at {phase}")
+        finally:
+            setattr(module, name, real)
+
     def _insert(self, t):
         reads = TWO_ENDPOINT_READS[0]
         self.engine.insert_triple(*t)
@@ -207,4 +241,7 @@ def test_engine_tracks_oracle_under_random_operations(monkeypatch):
         "shared plan node",
         "registration after updates",
         "heuristic canonical form",
+        "failed registration at merge",
+        "failed registration at materialize",
+        "failed registration at answer join",
     }
