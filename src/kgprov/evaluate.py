@@ -223,17 +223,17 @@ def _probe_store(
     if ids is None:
         return
     g, p, o_slots = leaf.graph, ids[1], probe.o_slots
-    # `?v0 p ?v1` probed on one endpoint, the usual probe, reads its
-    # (s, p) or (p, o) bucket directly; any other goes through the lookup
-    subject = o_slots == (0,)
-    index = g.endpoint_index(subject) if leaf.pairs and len(o_slots) == 1 else None
+    # `?v0 p ?v1` probed on one endpoint, the usual probe, reads the
+    # endpoint's p bucket directly; any other goes through the lookup
+    index = g.endpoint_index(o_slots == (0,)) if leaf.pairs and len(o_slots) == 1 else None
     edges, d_key, parent_row, row_of = g.edges, probe.d_key, probe.parent_row, leaf.row_of
     for drow, dpoly in delta.items():
         k = d_key(drow)
         if index is None:
             found = leaf.edge_ids(o_slots, k)
         else:
-            bucket = index.get((k[0], p) if subject else (p, k[0]))
+            inner = index.get(k[0])
+            bucket = None if inner is None else inner.get(p)
             if bucket is None:
                 continue
             found = bucket_entries(bucket)

@@ -335,9 +335,12 @@ class Engine:
         """Filter-and-refine: look up everything that used the edge,
         prune its monomials, and drop whatever collapses to zero.  The
         answers' prune is computed first and committed last, after the
-        plan's, so a failure leaves every table as it was."""
+        plan's, so a failure leaves every table as it was.  An edge that
+        no answer and no plan row mentions changes nothing more."""
         report = UpdateReport(op="-", edge_id=e.id)
         self._stats_cache = None
+        if e.id not in self.answers.by_edge and e.id not in self.plan.rows.by_edge:
+            return report
 
         t0 = time.perf_counter()
         cut = self.answers.cut(e.id)

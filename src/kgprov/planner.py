@@ -91,7 +91,7 @@ class StatsCatalog:
         """S_c(node)."""
         self._check()
         g = self.graph
-        return frozenset(g.predicate_name(g.edges[eid].predicate) for eid in g.lookup_ids(s=node))
+        return frozenset(map(g.predicate_name, g.endpoint_index(True).get(node, ())))
 
     def _cover(self, preds: frozenset[str]) -> set[int]:
         """Subjects whose characteristic set contains the non-empty `preds`."""

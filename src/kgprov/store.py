@@ -1,15 +1,16 @@
 """In-memory directed labeled multigraph with unique edge identifiers.
 
 Vertices and predicate labels are interned to dense integers; triples are
-indexed by subject, predicate, object, (subject, predicate) and
-(predicate, object).  A pattern that binds both endpoints filters the
-smaller of two buckets by the other endpoint.  Edge identifiers are
-assigned by a monotone counter and never reused, so provenance symbols
-stay unambiguous across deletions.
+indexed three ways: subject -> {predicate -> bucket}, object ->
+{predicate -> bucket} and predicate -> bucket.  A pattern that binds
+both endpoints filters the smaller of two buckets by the other endpoint.
+Edge identifiers are assigned by a monotone counter and never reused,
+so provenance symbols stay unambiguous across deletions.
 
 Every index here and in the provenance and plan layers keeps one bucket
 invariant: a key with one entry holds it bare, a `set` holds two or
-more, and an empty bucket is no key at all.
+more, and an empty bucket is no key at all.  The two endpoint indexes
+add one rule: an endpoint with no edges is no key either.
 """
 
 from __future__ import annotations
@@ -109,13 +110,11 @@ class KnowledgeGraph:
         self._next_id = 1
         # bumped by every insert and every delete that removes an edge
         self.mutations = 0
-        # triple-pattern indexes, key -> bucket of edge ids: one edge is
+        # triple-pattern indexes down to a bucket of edge ids: one edge is
         # the bare int id, two or more a set
-        self._by_sp: dict[tuple[int, int], int | set[int]] = {}
-        self._by_po: dict[tuple[int, int], int | set[int]] = {}
-        self._by_s: dict[int, int | set[int]] = {}
+        self._out: dict[int, dict[int, int | set[int]]] = {}  # s -> p -> bucket
+        self._in: dict[int, dict[int, int | set[int]]] = {}  # o -> p -> bucket
         self._by_p: dict[int, int | set[int]] = {}
-        self._by_o: dict[int, int | set[int]] = {}
 
     # --- interning helpers ---
 
@@ -133,16 +132,6 @@ class KnowledgeGraph:
 
     # --- mutation ---
 
-    def _buckets(self, s: int, p: int, o: int) -> tuple:
-        """(index, key) of the five buckets an (s, p, o) edge sits in."""
-        return (
-            (self._by_sp, (s, p)),
-            (self._by_po, (p, o)),
-            (self._by_s, s),
-            (self._by_p, p),
-            (self._by_o, o),
-        )
-
     def insert_edge(self, subject: int, predicate: int, obj: int) -> int:
         eid = self._next_id
         self._next_id += 1
@@ -155,11 +144,9 @@ class KnowledgeGraph:
         self.mutations += 1
         eid, s, p, o = edge
         self.edges[eid] = edge
-        bucket_add(self._by_sp, (s, p), eid)
-        bucket_add(self._by_po, (p, o), eid)
-        bucket_add(self._by_s, s, eid)
+        bucket_add(self._out.setdefault(s, {}), p, eid)
+        bucket_add(self._in.setdefault(o, {}), p, eid)
         bucket_add(self._by_p, p, eid)
-        bucket_add(self._by_o, o, eid)
 
     def insert_triple(self, subject: str, predicate: str, obj: str) -> int:
         return self.insert_edge(
@@ -171,8 +158,13 @@ class KnowledgeGraph:
         if edge is None:
             return None
         self.mutations += 1
-        for index, key in self._buckets(edge.subject, edge.predicate, edge.object):
-            bucket_discard(index, key, eid)
+        _, s, p, o = edge
+        for index, v in ((self._out, s), (self._in, o)):
+            inner = index[v]
+            bucket_discard(inner, p, eid)
+            if not inner:
+                del index[v]
+        bucket_discard(self._by_p, p, eid)
         return edge
 
     # --- access paths ---
@@ -182,27 +174,34 @@ class KnowledgeGraph:
     ) -> Collection[int]:
         """Edge ids matching the pattern; None positions are wildcards.
 
-        With both endpoints bound, the smaller of two buckets -- (s, p)
-        and (p, o), or s and o when p is a wildcard -- is filtered by
-        the other endpoint into a tuple.  Any other pattern reads one
-        bucket: two or more ids come as the live set, which the caller
-        must not mutate, one id as a 1-tuple and none as an empty tuple.
-        An all-wildcard pattern gives a fresh set of every id."""
+        `(s, p)`, `(p, o)` and `p` alone read one bucket: two or more ids
+        come as the live set, which the caller must not mutate, one id as
+        a 1-tuple and none as an empty tuple.  Every other pattern gives
+        a fresh collection: with both endpoints bound, the smaller of the
+        two buckets of each predicate they share is filtered by the other
+        endpoint; `s` or `o` alone gathers the endpoint's buckets; an
+        all-wildcard pattern gives a set of every id."""
         if s is not None and o is not None:
-            if p is None:
-                by_s, by_o = self._by_s.get(s), self._by_o.get(o)
-            else:
-                by_s, by_o = self._by_sp.get((s, p)), self._by_po.get((p, o))
+            by_s, by_o = self._out.get(s), self._in.get(o)
             if by_s is None or by_o is None:
                 return ()
-            edges = self.edges
-            if by_s.__class__ is not set or (by_o.__class__ is set and len(by_s) <= len(by_o)):
-                return tuple(i for i in bucket_entries(by_s) if edges[i].object == o)
-            return tuple(i for i in bucket_entries(by_o) if edges[i].subject == s)
-        if s is not None:
-            bucket = self._by_s.get(s) if p is None else self._by_sp.get((s, p))
-        elif o is not None:
-            bucket = self._by_o.get(o) if p is None else self._by_po.get((p, o))
+            edges, found = self.edges, []
+            for q in (p,) if p is not None else by_s.keys() & by_o.keys():
+                bs, bo = by_s.get(q), by_o.get(q)
+                if bs is None or bo is None:
+                    continue
+                if bs.__class__ is not set or (bo.__class__ is set and len(bs) <= len(bo)):
+                    found += [i for i in bucket_entries(bs) if edges[i].object == o]
+                else:
+                    found += [i for i in bucket_entries(bo) if edges[i].subject == s]
+            return tuple(found)
+        if s is not None or o is not None:
+            inner = self._out.get(s) if o is None else self._in.get(o)
+            if inner is None:
+                return ()
+            if p is None:
+                return tuple(i for bucket in inner.values() for i in bucket_entries(bucket))
+            bucket = inner.get(p)
         elif p is not None:
             bucket = self._by_p.get(p)
         else:
@@ -210,24 +209,31 @@ class KnowledgeGraph:
         return () if bucket is None else bucket_entries(bucket)
 
     def endpoint_index(self, subject: bool) -> dict:
-        """The live (subject, predicate) index, or the (predicate, object)
-        one, key -> bucket of edge ids, for a caller that probes it once
-        per row; it must not mutate it."""
-        return self._by_sp if subject else self._by_po
+        """The live subject index, or the object one, endpoint ->
+        {predicate -> bucket of edge ids}, for a caller that probes it
+        once per row with two `get`s; it must not mutate it."""
+        return self._out if subject else self._in
 
     # --- consistency ---
 
     def audit(self) -> list[str]:
-        """Rebuild the five indexes from `edges` and diff them against
-        the live ones, and flag every set bucket of fewer than two ids;
-        an empty list means consistent."""
-        names = ("sp", "po", "s", "p", "o")  # _buckets order
-        want: dict[str, dict] = {name: {} for name in names}
-        for e in self.edges.values():
-            for name, (_, key) in zip(names, self._buckets(e.subject, e.predicate, e.object)):
-                want[name].setdefault(key, set()).add(e.id)
-        problems = []
-        for name, (index, _) in zip(names, self._buckets(None, None, None)):
+        """Rebuild the indexes from `edges` and diff them against the
+        live ones, the subject index flattened to (s, p) keys and the
+        object index to (p, o) keys; flag every set bucket of fewer than
+        two ids and every endpoint left with no edges.  An empty list
+        means consistent."""
+        want: dict[str, dict] = {"sp": {}, "po": {}, "p": {}}
+        for eid, s, p, o in self.edges.values():
+            for name, key in (("sp", (s, p)), ("po", (p, o)), ("p", p)):
+                want[name].setdefault(key, set()).add(eid)
+        have, problems = {"sp": {}, "po": {}, "p": self._by_p}, []
+        for name, index in (("sp", self._out), ("po", self._in)):
+            for v, inner in index.items():
+                if not inner:
+                    problems.append(f"store {name} endpoint {v} with no edges")
+                for p, bucket in inner.items():
+                    have[name][(v, p) if name == "sp" else (p, v)] = bucket
+        for name, index in have.items():
             small, mismatched = bucket_faults(index, want[name])
             problems += [f"store {name} set bucket of {n} at {key}" for key, n in small]
             problems += [f"store {name} index mismatch at {key}" for key in mismatched]
@@ -251,7 +257,6 @@ class KnowledgeGraph:
     @property
     def num_predicates(self) -> int:
         return len(self.predicates)
-
 
 
 class LoadError(Exception):

@@ -257,7 +257,9 @@ def engine_state(engine):
 
     return (
         dict(g.edges),
-        [copied(index) for index, _ in g._buckets(None, None, None)],
+        {s: copied(inner) for s, inner in g._out.items()},
+        {o: copied(inner) for o, inner in g._in.items()},
+        copied(g._by_p),
         {node: dict(node.table) for node in engine.plan.nodes.values()},
         {qid: dict(rq.answers) for qid, rq in engine.queries.items()},
         copied(engine.plan.rows.by_edge),
@@ -294,6 +296,41 @@ def test_failed_delete_leaves_engine_unchanged(registered, running_query, monkey
 
 
 PRIOR_QUERY = "SELECT ?a WHERE { ?a hasDegree PhD . ?a worksIn ?w . }"
+
+
+@pytest.mark.parametrize("held_by", ["answers", "plan", "neither"])
+def test_delete_looks_up_both_edge_indexes_first(engine, running_query, held_by):
+    """A delete reads the answers' and the plan's edge indexes before
+    anything else, and returns an empty report at once when neither
+    holds the edge."""
+    # a two-pattern query joins two leaves, so its answers' edges are in
+    # no plan row
+    query = parse_query(PRIOR_QUERY) if held_by == "answers" else running_query
+    engine.register_query(query)
+    g = engine.graph
+    answers, rows = set(engine.answers.by_edge), set(engine.plan.rows.by_edge)
+    held = {
+        "answers": answers - rows,
+        "plan": rows - answers,
+        "neither": set(g.edges) - answers - rows,
+    }
+    eid = min(held[held_by])
+    before = answer_dict(engine, 1)
+    assert engine._stats_cache is not None
+
+    report = engine.delete_edge(eid)
+    assert engine._stats_cache is None
+    assert answer_dict(engine, 1) == brute_force_answers(query, g)
+    for node in engine.plan.nodes.values():
+        if not node.is_leaf:
+            assert node.table == fresh_node_table(node, g)
+    assert engine.index_audit() == []
+    if held_by == "answers":
+        assert report.answers_changed and answer_dict(engine, 1) != before
+    elif held_by == "plan":
+        assert report.answers_changed == 0 and answer_dict(engine, 1) == before
+    else:
+        assert report == maintenance.UpdateReport(op="-", edge_id=eid)
 
 
 def registration_state(engine):
@@ -914,14 +951,35 @@ def test_audit_flags_rows_held_by_plain_leaf(registered, plant, label):
 
 def test_audit_flags_store_corruption(registered):
     engine, _ = registered
-    by_sp = engine.graph._by_sp
-    key = next(k for k, bucket in by_sp.items() if isinstance(bucket, int))
-    eid = by_sp[key]
-    by_sp[key] = eid + 100  # a single-edge bucket naming the wrong edge
+    out = engine.graph._out
+    s, p = next((s, p) for s, inner in out.items() for p, b in inner.items() if isinstance(b, int))
+    inner, key = out[s], (s, p)
+    eid = inner[p]
+    inner[p] = eid + 100  # a single-edge bucket naming the wrong edge
     assert f"store sp index mismatch at {key}" in engine.index_audit()
-    by_sp[key] = {eid}  # the right edge, but in a one-element set
+    inner[p] = {eid}  # the right edge, but in a one-element set
     assert engine.index_audit() == [f"store sp set bucket of 1 at {key}"]
-    by_sp[key] = eid
+    inner[p] = eid
+    assert engine.index_audit() == []
+
+
+def test_audit_flags_misfiled_store_edge(registered):
+    """An edge filed under the wrong predicate of its subject, and an
+    endpoint left holding no predicate, are both faults."""
+    engine, _ = registered
+    g = engine.graph
+    s, inner, p = next((s, inner, p) for s, inner in g._out.items() for p in inner)
+    q = next(q for q in range(len(g.predicates)) if q not in inner)
+    inner[q] = inner.pop(p)
+    assert engine.index_audit() == [
+        f"store sp index mismatch at {key}" for key in sorted([(s, p), (s, q)])
+    ]
+    inner[p] = inner.pop(q)
+    assert engine.index_audit() == []
+    v = next(v for v in g._out if v not in g._in)  # a vertex no edge enters
+    g._in[v] = {}  # as if its last in-edge left without its key
+    assert engine.index_audit() == [f"store po endpoint {v} with no edges"]
+    del g._in[v]
     assert engine.index_audit() == []
 
 

@@ -138,13 +138,15 @@ def test_lookup_results_cannot_change_the_store():
     g.insert_edge(y, p, y)
     empty, single = g.lookup_ids(y, p, x), g.lookup_ids(x, p, y)
     filtered = [g.lookup_ids(y, p, z), g.lookup_ids(y, None, z)]
-    for result in (empty, single, *filtered):
+    gathered = [g.lookup_ids(y), g.lookup_ids(None, None, y)]  # one endpoint, no p
+    for result in (empty, single, *filtered, *gathered):
         assert isinstance(result, tuple)
         with pytest.raises(AttributeError):
             result.add(99)
     assert list(g.lookup_ids(y, p, x)) == []
     assert list(g.lookup_ids(x, p, y)) == [eid]
     assert [set(ids) for ids in filtered] == [dups, dups]
+    assert [len(ids) for ids in gathered] == [3, 2]
     assert g.audit() == []
 
 
