@@ -17,7 +17,7 @@ nothing to apply on insert and nothing to prune on delete.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids, slot_index
@@ -116,15 +116,18 @@ def join_tables(
     Both sides hold full bindings, so summing the products over matching
     row pairs yields every derivation exactly once.  A leaf is probed in
     the store's buckets: the other side is scanned, or, when both are
-    leaves, the one with fewer edges.  Two join nodes hash the smaller
-    table for this join only, so the call leaves no index behind that
-    the update path did not ask for."""
+    leaves, the one with fewer edges, edge by edge, so that a product is
+    formed only for a matching pair of edges (a row's polynomial is the
+    sum of its edge symbols, over which the product distributes).  Two
+    join nodes hash the smaller table for this join only, so the call
+    leaves no index behind that the update path did not ask for."""
     out: dict[tuple[int, ...], Polynomial] = {}
     if left.is_leaf or right.is_leaf:
         probe, scan, other = probes[0], left, right
         if not right.is_leaf or (left.is_leaf and right.table.count() < left.table.count()):
             probe, scan, other = probes[1], right, left
-        _probe(scan.table, probe, other, None, out)
+        rows = scan.table.symbols() if scan.is_leaf else scan.table.items()
+        _probe_store(rows, probe, other.table, out, None)
         return out
     probe, big, small = probes[0], left, right
     if len(left.table) < len(right.table):
@@ -192,7 +195,7 @@ def _probe(
     """
     if other_rows is None:
         if other.is_leaf:
-            _probe_store(delta, probe, other.table, out, skip)
+            _probe_store(delta.items(), probe, other.table, out, skip)
             return
         idx, other_rows = node_index(other, probe.o_slots), other.table
     else:
@@ -209,16 +212,16 @@ def _probe(
 
 
 def _probe_store(
-    delta: Mapping[tuple[int, ...], Polynomial],
+    delta: Iterable[tuple[tuple[int, ...], Polynomial]],
     probe: JoinProbe,
     leaf: LeafView,
     out: dict[tuple[int, ...], Polynomial],
     skip: int | None,
 ):
-    """`_probe` into a leaf: each delta row reads the edges that bind the
-    leaf's shared slots as the row does, and every one of them but `skip`
-    joins the row with its own symbol, so that duplicate triples sum in
-    `out`."""
+    """`_probe` into a leaf: each delta (row, polynomial) pair reads the
+    edges that bind the leaf's shared slots as the row does, and every
+    one of them but `skip` joins the row with its own symbol, so that
+    duplicate triples sum in `out`."""
     ids = leaf.ids()
     if ids is None:
         return
@@ -227,7 +230,7 @@ def _probe_store(
     # endpoint's p bucket directly; any other goes through the lookup
     index = g.endpoint_index(o_slots == (0,)) if leaf.pairs and len(o_slots) == 1 else None
     edges, d_key, parent_row, row_of = g.edges, probe.d_key, probe.parent_row, leaf.row_of
-    for drow, dpoly in delta.items():
+    for drow, dpoly in delta:
         k = d_key(drow)
         if index is None:
             found = leaf.edge_ids(o_slots, k)

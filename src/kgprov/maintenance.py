@@ -100,15 +100,17 @@ class RegistrationReceipt:
     subquery_count: int
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateReport:
+    """One update's effect on the answers, by query id: `added` lists
+    (projected row, current polynomial) pairs, `removed` projected rows
+    and `pruned` (projected row, surviving polynomial) pairs.  Slotted
+    and built positionally, because every update makes one."""
+
     op: str
     edge_id: int
-    # query id -> [(projected row, current polynomial)]
     added: dict[int, list] = field(default_factory=dict)
-    # query id -> [projected row]
     removed: dict[int, list] = field(default_factory=dict)
-    # query id -> [(projected row, surviving polynomial)]
     pruned: dict[int, list] = field(default_factory=dict)
     response_time: float = 0.0
     maintenance_time: float = 0.0
@@ -282,7 +284,8 @@ class Engine:
         """Process one edge already present in the store.  Every delta is
         computed against the pre-insert tables before any table or index
         changes, so a failure while computing leaves the engine as it was."""
-        report = UpdateReport(op="+", edge_id=e.id)
+        eid = e.id
+        report = UpdateReport("+", eid, {}, {}, {})
         self._stats_cache = None  # stale now; the next registration rebuilds it
         # a predicate has plan nodes exactly when some query mentions it
         affected = self._by_pred.get(self.graph.predicate_name(e.predicate))
@@ -298,10 +301,9 @@ class Engine:
             if rq.root is None:
                 rows = dl
             else:
-                rows = join_delta(rq.root, rq.leaf, rq.probes, deltas.get(rq.root), dl, e.id)
+                rows = join_delta(rq.root, rq.leaf, rq.probes, deltas.get(rq.root), dl, eid)
             if rows:
                 added[rq.qid] = _project(rows, rq.project)
-        t2 = time.perf_counter()
         for qid, rows in added.items():
             self.answers.add(qid, rows)
             answers = self.queries[qid].answers
@@ -337,18 +339,19 @@ class Engine:
         answers' prune is computed first and committed last, after the
         plan's, so a failure leaves every table as it was.  An edge that
         no answer and no plan row mentions changes nothing more."""
-        report = UpdateReport(op="-", edge_id=e.id)
+        eid = e.id
+        report = UpdateReport("-", eid, {}, {}, {})
         self._stats_cache = None
-        if e.id not in self.answers.by_edge and e.id not in self.plan.rows.by_edge:
+        if eid not in self.answers.by_edge and eid not in self.plan.rows.by_edge:
             return report
 
         t0 = time.perf_counter()
-        cut = self.answers.cut(e.id)
+        cut = self.answers.cut(eid)
         t1 = time.perf_counter()
-        delta_delete(self.plan, e.id)
+        delta_delete(self.plan, eid)
         t2 = time.perf_counter()
         if cut:
-            self.answers.commit(e.id, cut)
+            self.answers.commit(eid, cut)
         for qid, d in cut.items():
             if d.pruned:
                 report.pruned[qid] = list(d.pruned.items())
@@ -388,7 +391,7 @@ class Engine:
             node = joins.pop()
             if node not in live:
                 live.add(node)
-                joins += [self.plan.nodes[key] for key, _ in node.children or ()]
+                joins += [self.plan.nodes[k] for k, _ in node.children or () if k in self.plan.nodes]
         for node in self.plan.nodes.values():
             if node not in live:
                 problems.append(f"plan node {node!r} feeds no answer join")

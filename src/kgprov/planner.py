@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .provenance import Polynomial, ProvTable
 from .query import CanonicalForm, CanonicalKey, TriplePattern, Var, canonicalize
@@ -393,13 +393,16 @@ class LeafView(Mapping):
             return {}
         return {self.row_of(e): Polynomial.edge(e.id)}
 
+    def symbols(self) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
+        """(row, edge symbol) of every matching edge, from one read of
+        the store; a row bound by duplicate triples comes once per edge."""
+        edges, row_of = self.graph.edges, self.row_of
+        return ((row_of(edges[eid]), Polynomial.edge(eid)) for eid in self.edge_ids())
+
     def rows(self) -> dict[tuple[int, ...], Polynomial]:
         """Every row, from one read of the store."""
-        edges, row_of = self.graph.edges, self.row_of
         out: dict[tuple[int, ...], Polynomial] = {}
-        for eid in self.edge_ids():
-            key = row_of(edges[eid])
-            poly = Polynomial.edge(eid)
+        for key, poly in self.symbols():
             out[key] = out[key] + poly if key in out else poly
         return out
 
@@ -488,9 +491,16 @@ class GlobalPlan:
         """The row table's audit, plus every group of a node not in the
         plan, every leaf that holds a group, an edge entry or a probe
         index, every join-probe index bucket that breaks the bucket
-        invariant and every index that differs from one rebuilt from its
-        node's table."""
+        invariant, every index that differs from one rebuilt from its
+        node's table, and every join node whose child is missing from
+        `nodes` or comes after it there (creation order is topological)."""
         problems = self.rows.audit()
+        position = {key: i for i, key in enumerate(self.nodes)}
+        problems += [
+            f"join {node!r} precedes or lacks its child {key}"
+            for i, node in enumerate(self.nodes.values())
+            for key, _ in node.children or () if position.get(key, i) >= i
+        ]
         for node in self.rows.groups:
             if node.is_leaf:
                 problems.append(f"leaf {node!r} holds a table group")

@@ -149,9 +149,19 @@ class KnowledgeGraph:
         bucket_add(self._by_p, p, eid)
 
     def insert_triple(self, subject: str, predicate: str, obj: str) -> int:
-        return self.insert_edge(
-            self.node(subject), self.predicate(predicate), self.node(obj)
-        )
+        """Insert an edge by names and return its id.  A name seen for
+        the first time gets the next dense id of its interner, the
+        subject's before the object's."""
+        nodes, preds = self.nodes, self.predicates
+        # `intern` runs on a miss and for the name with id 0, and gives
+        # the right id either way
+        s = nodes._ids.get(subject) or nodes.intern(subject)
+        o = nodes._ids.get(obj) or nodes.intern(obj)
+        p = preds._ids.get(predicate) or preds.intern(predicate)
+        eid = self._next_id
+        self._next_id = eid + 1
+        self.put_edge(Edge(eid, s, p, o))
+        return eid
 
     def delete_edge(self, eid: int) -> Edge | None:
         edge = self.edges.pop(eid, None)
@@ -159,11 +169,14 @@ class KnowledgeGraph:
             return None
         self.mutations += 1
         _, s, p, o = edge
-        for index, v in ((self._out, s), (self._in, o)):
-            inner = index[v]
-            bucket_discard(inner, p, eid)
-            if not inner:
-                del index[v]
+        inner = self._out[s]
+        bucket_discard(inner, p, eid)
+        if not inner:
+            del self._out[s]
+        inner = self._in[o]
+        bucket_discard(inner, p, eid)
+        if not inner:
+            del self._in[o]
         bucket_discard(self._by_p, p, eid)
         return edge
 

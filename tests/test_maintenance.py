@@ -917,6 +917,30 @@ def test_audit_flags_dead_plan_node(registered):
     ]
 
 
+def test_audit_flags_plan_out_of_creation_order(registered):
+    """Creation order is topological: a join node whose child comes
+    after it in `plan.nodes`, or is missing from it, is a fault."""
+    engine, _ = registered
+    nodes = engine.plan.nodes
+    assert engine.index_audit() == []
+    join = next(n for n in nodes.values() if not n.is_leaf)
+    keys = [key for key, _ in join.children]
+    created = dict(nodes)
+    # the parent moved ahead of its children
+    reordered = {join.key: join, **{k: n for k, n in created.items() if k != join.key}}
+    nodes.clear()
+    nodes.update(reordered)
+    assert engine.index_audit() == [
+        f"plan join {join!r} precedes or lacks its child {key}" for key in keys
+    ]
+    nodes.clear()  # back in creation order ...
+    nodes.update(created)
+    assert engine.index_audit() == []
+    leaf = nodes.pop(keys[1])  # ... but for a missing child
+    assert leaf.is_leaf
+    assert engine.index_audit() == [f"plan join {join!r} precedes or lacks its child {keys[1]}"]
+
+
 PLANTS = ["group", "edge entry", "probe index"]
 
 

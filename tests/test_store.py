@@ -85,28 +85,55 @@ def test_lookup_matches_linear_scan(seed):
 def test_access_paths_follow_interleaved_updates():
     """Inserts and deletes, duplicate triples included, move buckets
     through 0 -> 1 -> 2 -> 1 -> 0 ids; after every operation each access
-    path agrees with a linear scan and the store audit is clean."""
+    path agrees with a linear scan and the store audit is clean.  Inserts
+    go by ids and by names: a new name gets the next dense id, subject
+    before object.  Some deletes are rolled back by putting the edge
+    back, as a failed update does."""
     rng = random.Random(7)
     g = KnowledgeGraph()
-    nodes = [g.node(f"n{i}") for i in range(3)]
-    preds = [g.predicate(f"p{i}") for i in range(2)]
+    # every name, in first-seen order, so its position is its id
+    names, preds = [f"n{i}" for i in range(3)], [f"p{i}" for i in range(2)]
+    for name in names:
+        g.node(name)
+    for name in preds:
+        g.predicate(name)
     moves = set()  # (ids before, ids after) of the touched (s, p, o) bucket
+    both_new = rolled_back = 0
     for _ in range(400):
         if len(g.edges) > rng.randrange(12):
             e = g.edges[rng.choice(sorted(g.edges))]
             triple, step = (e.subject, e.predicate, e.object), -1
             before = len(g.lookup_ids(*triple))
-            g.delete_edge(e.id)
-        else:
-            triple, step = (rng.choice(nodes), rng.choice(preds), rng.choice(nodes)), 1
+            assert g.delete_edge(e.id) == e
+            if rng.random() < 0.25:
+                assert g.audit() == []
+                g.put_edge(e)
+                step, rolled_back = 0, rolled_back + 1
+        elif rng.random() < 0.5:
+            triple, step = (
+                rng.randrange(len(names)), rng.randrange(len(preds)), rng.randrange(len(names))
+            ), 1
             before = len(g.lookup_ids(*triple))
             g.insert_edge(*triple)
+        else:
+            s, p, o = f"n{rng.randrange(9)}", f"p{rng.randrange(3)}", f"n{rng.randrange(9)}"
+            both_new += s != o and s not in names and o not in names
+            known = (g.nodes.get(s), g.predicates.get(p), g.nodes.get(o))
+            before = 0 if None in known else len(g.lookup_ids(*known))
+            for name, seen in ((s, names), (p, preds), (o, names)):
+                if name not in seen:
+                    seen.append(name)
+            triple, step = (names.index(s), preds.index(p), names.index(o)), 1
+            eid = g.insert_triple(s, p, o)
+            assert g.edges[eid][1:] == triple
+        assert g.nodes.names() == names and g.predicates.names() == preds
         assert len(g.lookup_ids(*triple)) == before + step
         moves.add((before, before + step))
 
-        for s in nodes + [None]:
-            for p in preds + [None]:
-                for o in nodes + [None]:
+        nodes = range(len(names))
+        for s in [*nodes, None]:
+            for p in [*range(len(preds)), None]:
+                for o in [*nodes, None]:
                     want = {
                         e.id
                         for e in g.edges.values()
@@ -126,6 +153,7 @@ def test_access_paths_follow_interleaved_updates():
                 )
         assert g.audit() == []
     assert {(0, 1), (1, 2), (2, 1), (1, 0)} <= moves
+    assert both_new and rolled_back
 
 
 def test_lookup_results_cannot_change_the_store():
