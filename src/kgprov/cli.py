@@ -8,8 +8,9 @@ import sys
 
 import click
 
+from .inspection import connection_points, coverage, plan_dump
 from .maintenance import Engine
-from .planner import compute_statistics, coverage, plan_dump
+from .planner import compute_statistics
 from .query import parse_query
 from .store import KnowledgeGraph, LoadError, load_ntriples_file
 from .workload import (
@@ -110,7 +111,7 @@ def register(graph_path, query_paths):
             f"{path}: query {receipt.query_id}, "
             f"{len(receipt.answers)} answer(s), "
             f"{receipt.subquery_count} subqueries, "
-            f"{len(engine.all_annotations(receipt.query_id))} connection points"
+            f"{len(connection_points(engine, receipt.query_id))} connection points"
         )
         for row in receipt.answers:
             values = {
@@ -263,7 +264,7 @@ def dump(graph_path, query_paths, what):
                     )
                 )
     elif what == "annotations":
-        for ann in engine.all_annotations():
+        for ann in connection_points(engine):
             click.echo(
                 json.dumps(
                     {

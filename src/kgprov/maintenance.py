@@ -13,12 +13,8 @@ re-executed from scratch.  A plan leaf keeps no table: the answer join,
 and a single-pattern query's answers, read it from the store through its
 `LeafView`, so the store's own update is all it needs.
 
-Connection points (a subquery component's match waiting at a vertex for
-an edge with a given label and direction) are neither planned nor
-stored: `all_annotations` generates the one-pattern-removed subqueries
-and evaluates every component from the store with `evaluate_patterns`
-when asked, for inspection only.  Registration and updates never call
-that evaluator, and registration generates no subquery.
+Connection points, the subqueries that place them and the plan dump
+are in `kgprov.inspection`; registration and updates never call it.
 """
 
 from __future__ import annotations
@@ -33,11 +29,11 @@ from .evaluate import (
     apply_insert_deltas,
     compute_insert_deltas,
     delta_delete,
-    evaluate_patterns,
     join_delta,
     join_tables,
     materialize_plan,
 )
+from .inspection import connection_points
 from .planner import (
     GlobalPlan,
     JoinProbe,
@@ -54,43 +50,10 @@ from .query import (
     QueryError,
     QueryGraph,
     UnsupportedFeatureError,
-    Var,
     canonicalize,
     variable_connected,
 )
 from .store import Edge, KnowledgeGraph
-from .subquery import Subquery, SubqueryType, generate_subqueries
-
-OUT = "out"
-IN = "in"
-
-
-@dataclass
-class Annotation:
-    """A connection point, read out of the index for inspection.
-
-    A potential match waits at `node` for an edge with label `exp_rel`
-    leaving (`out`) or arriving (`in`); `bindings` are the full variable
-    bindings of the matched component, `result` the fragment of the
-    answer it contributes, and `prov` the provenance polynomial of the
-    component's match.
-    """
-
-    node: int
-    exp_rel: str
-    direction: str
-    query_id: int
-    removed: int
-    component: int
-    result: tuple[int, ...]
-    bindings: dict[str, int]
-    prov: Polynomial
-
-    @property
-    def key(self) -> tuple:
-        """Sort key, unique per connection point."""
-        bindings = tuple(sorted(self.bindings.items()))
-        return (self.query_id, self.removed, self.component, self.direction, bindings)
 
 
 @dataclass
@@ -138,19 +101,6 @@ class RegisteredQuery:
     project: Callable[[Row], Row]
     # projected row -> polynomial; this query's group of Engine.answers
     answers: dict[Row, Polynomial] = field(default_factory=dict)
-
-
-def _anchors(sq: Subquery, ci: int) -> list[tuple[Var | str, str]]:
-    """Where each match of component ci waits: (endpoint, direction) for
-    every endpoint of the removed pattern that the component mentions, a
-    variable or a constant one of its patterns names, `out` at the
-    subject and `in` at the object.  Type II's lone far pattern waits
-    nowhere."""
-    if sq.sq_type is SubqueryType.II and ci == 1:
-        return []
-    t = sq.removed_pattern
-    terms = {x for p in sq.components[ci] for x in (p.subject, p.object)}
-    return [(x, d) for x, d in ((t.subject, OUT), (t.object, IN)) if x in terms]
 
 
 def _project(rows: dict[Row, Polynomial], key: Callable[[Row], Row]) -> dict[Row, Polynomial]:
@@ -415,28 +365,6 @@ class Engine:
             for row, poly in sorted(rq.answers.items())
         ]
 
-    def all_annotations(self, qid: int | None = None) -> list[Annotation]:
-        """Every connection point (of query `qid` alone, if given) as a
-        record, in key order.  Each subquery component is evaluated from
-        the store on every call: this is for inspection, not for updates."""
-        out = []
-        for rq in self.queries.values() if qid is None else [self.queries[qid]]:
-            q = rq.query
-            if q.size < 2:
-                continue
-            for sq in generate_subqueries(q):
-                for ci, comp in enumerate(sq.components):
-                    anchors = _anchors(sq, ci)
-                    if not anchors:
-                        continue
-                    names = sorted(set().union(*(p.variables() for p in comp)))
-                    for row, poly in evaluate_patterns(comp, self.graph, names).items():
-                        bindings = dict(zip(names, row))
-                        result = tuple(bindings[v] for v in q.projection if v in bindings)
-                        for x, direction in anchors:
-                            vertex = bindings[x.name] if isinstance(x, Var) else self.graph.node(x)
-                            out.append(Annotation(
-                                vertex, sq.removed_pattern.predicate, direction, rq.qid,
-                                sq.removed, ci, result, bindings, poly,
-                            ))
-        return sorted(out, key=lambda a: a.key)
+    def all_annotations(self, qid: int | None = None) -> list:
+        """`inspection.connection_points` of this engine, for inspection."""
+        return connection_points(self, qid)

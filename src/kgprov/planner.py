@@ -603,30 +603,3 @@ def merge_into_global(
         create(forms[size], _by_ordinal(order[:size]), sides)
     return plan.nodes[forms[n].key], forms[n].varmap
 
-
-def coverage(plan: GlobalPlan) -> float | None:
-    """Non-leaf node count per unique predicate; None when no predicates
-    are planned (the metric is undefined on an empty plan)."""
-    preds = set().union(*(n.predicates for n in plan.nodes.values())) if plan.nodes else set()
-    if not preds:
-        return None
-    non_leaf = sum(1 for n in plan.nodes.values() if not n.is_leaf)
-    return non_leaf / len(preds)
-
-
-def plan_dump(plan: GlobalPlan) -> list[dict]:
-    """Topologically sorted JSON-ready description of every node."""
-    out = []
-    for node in plan.topo_order():
-        out.append(
-            {
-                "expr": node.label(),
-                "estimate": node.estimate,
-                "children": [
-                    plan.nodes[ck].label() for ck, _ in (node.children or ())
-                ],
-                "rows": len(node.table),
-                "roots": node.roots,
-            }
-        )
-    return out

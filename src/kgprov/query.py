@@ -192,7 +192,7 @@ def parse_query(text: str) -> QueryGraph:
     for v in projection:
         if v not in variables:
             raise ParseError(f"projected variable ?{v} not bound", 1, 1)
-    if not _is_connected(patterns, by_constants=True):
+    if len(pattern_components(patterns, by_constants=True)) > 1:
         raise DisconnectedQueryError("query graph is disconnected")
     return q
 
@@ -208,51 +208,39 @@ def pretty_print(q: QueryGraph) -> str:
     return "\n".join(lines)
 
 
-def _is_connected(patterns: list[TriplePattern], by_constants: bool) -> bool:
-    if len(patterns) <= 1:
-        return True
-
-    def keys(p: TriplePattern):
-        out = [("v", t.name) if isinstance(t, Var) else ("c", t) for t in (p.subject, p.object)]
-        if by_constants:
-            return set(out)
-        return {k for k in out if k[0] == "v"}
-
-    reached = {0}
-    frontier = [0]
-    sets = [keys(p) for p in patterns]
-    while frontier:
-        i = frontier.pop()
-        for j in range(len(patterns)):
-            if j not in reached and sets[i] & sets[j]:
-                reached.add(j)
-                frontier.append(j)
-    return len(reached) == len(patterns)
+def pattern_components(
+    patterns: list[TriplePattern], by_constants: bool = False
+) -> list[list[TriplePattern]]:
+    """Connected components of a pattern set, listed by their first
+    pattern, each sorted by ordinal.  Two patterns link when they share
+    a subject or object variable, or, with `by_constants`, a subject or
+    object constant; a shared predicate never links them."""
+    keys = [
+        {t for t in (p.subject, p.object) if by_constants or isinstance(t, Var)}
+        for p in patterns
+    ]
+    left = list(range(len(patterns)))
+    comps: list[list[TriplePattern]] = []
+    while left:
+        members, reach = [left[0]], set(keys[left[0]])
+        left, grown = left[1:], True
+        while grown:
+            grown, rest = False, []
+            for j in left:
+                if keys[j] & reach:
+                    members.append(j)
+                    reach |= keys[j]
+                    grown = True
+                else:
+                    rest.append(j)
+            left = rest
+        comps.append(sorted((patterns[i] for i in members), key=lambda p: p.ordinal))
+    return comps
 
 
 def variable_connected(patterns: list[TriplePattern]) -> bool:
-    """Connectivity over shared variables only (constants do not link)."""
-    return _is_connected(patterns, by_constants=False)
-
-
-def variable_components(patterns: list[TriplePattern]) -> list[list[TriplePattern]]:
-    """Connected components of the pattern set over shared variables."""
-    remaining = list(patterns)
-    comps: list[list[TriplePattern]] = []
-    while remaining:
-        comp = [remaining.pop(0)]
-        vars_seen = comp[0].variables()
-        changed = True
-        while changed:
-            changed = False
-            for p in list(remaining):
-                if p.variables() & vars_seen:
-                    comp.append(p)
-                    vars_seen |= p.variables()
-                    remaining.remove(p)
-                    changed = True
-        comps.append(sorted(comp, key=lambda p: p.ordinal))
-    return comps
+    """At most one component over shared variables (constants do not link)."""
+    return len(pattern_components(patterns)) <= 1
 
 
 # --------------------------------------------------------------------------

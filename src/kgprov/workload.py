@@ -208,6 +208,14 @@ def apply_incremental(engine: Engine, ops: list[Op]) -> BenchReport:
     return report
 
 
+def _from_scratch(q: QueryGraph, g: KnowledgeGraph) -> dict[tuple[int, ...], Polynomial]:
+    """q's answers evaluated from the store: projected row -> polynomial."""
+    return {
+        tuple(r.bindings[v] for v in q.projection): r.provenance
+        for r in evaluate_bgp(q, g)
+    }
+
+
 class NaiveRunner:
     """Baseline: after each update, re-execute every query whose
     predicate set contains the updated edge's predicate."""
@@ -216,19 +224,13 @@ class NaiveRunner:
         self.graph = graph
         self.queries = queries
         self.answers: list[dict[tuple[int, ...], Polynomial]] = [
-            self._eval(q) for q in queries
+            _from_scratch(q, graph) for q in queries
         ]
-
-    def _eval(self, q: QueryGraph) -> dict[tuple[int, ...], Polynomial]:
-        return {
-            tuple(r.bindings[v] for v in q.projection): r.provenance
-            for r in evaluate_bgp(q, self.graph)
-        }
 
     def _refresh(self, pred: str):
         for i, q in enumerate(self.queries):
             if any(p.predicate == pred for p in q.patterns):
-                self.answers[i] = self._eval(q)
+                self.answers[i] = _from_scratch(q, self.graph)
 
     def apply(self, ops: list[Op]) -> BenchReport:
         report = BenchReport(mode="naive")
@@ -252,28 +254,26 @@ class NaiveRunner:
         return report
 
 
+def _snapshot(g: KnowledgeGraph, answers) -> list[dict]:
+    """(query id, projected row -> polynomial) pairs rendered with node
+    names and polynomial text, rows sorted."""
+    return [
+        {"query": qid, "rows": dict(sorted(
+            (tuple(map(g.node_name, row)), poly.to_text()) for row, poly in rows.items()
+        ))}
+        for qid, rows in answers
+    ]
+
+
 def engine_answer_snapshot(engine: Engine) -> list[dict]:
     """Canonical, name-keyed answer dump for cross-mode comparison."""
-    out = []
-    for qid in sorted(engine.queries):
-        rq = engine.queries[qid]
-        rows = {
-            tuple(engine.graph.node_name(v) for v in row): poly.to_text()
-            for row, poly in rq.answers.items()
-        }
-        out.append({"query": qid, "rows": dict(sorted(rows.items()))})
-    return out
+    queries = engine.queries
+    return _snapshot(engine.graph, ((qid, queries[qid].answers) for qid in sorted(queries)))
 
 
 def naive_answer_snapshot(runner: NaiveRunner) -> list[dict]:
-    out = []
-    for i, answers in enumerate(runner.answers, start=1):
-        rows = {
-            tuple(runner.graph.node_name(v) for v in row): poly.to_text()
-            for row, poly in answers.items()
-        }
-        out.append({"query": i, "rows": dict(sorted(rows.items()))})
-    return out
+    """The same dump of a naive runner, whose queries are numbered from 1."""
+    return _snapshot(runner.graph, enumerate(runner.answers, start=1))
 
 
 # --------------------------------------------------------------------------
@@ -350,13 +350,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _from_scratch(q: QueryGraph, g: KnowledgeGraph) -> dict:
-    return {
-        tuple(r.bindings[v] for v in q.projection): r.provenance
-        for r in evaluate_bgp(q, g)
-    }
 
 
 def run_equivalence_trials(

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from kgprov.inspection import generate_subqueries
 from kgprov.maintenance import Engine
 from kgprov.planner import (
     GlobalPlan,
@@ -25,7 +26,6 @@ from kgprov.planner import (
 from kgprov.provenance import Polynomial, mono_degree
 from kgprov.query import QueryGraph, TriplePattern, Var, canonicalize, parse_query
 from kgprov.store import KnowledgeGraph, load_ntriples_file
-from kgprov.subquery import generate_subqueries
 from kgprov.workload import (
     PRESETS,
     NaiveRunner,

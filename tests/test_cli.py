@@ -143,14 +143,21 @@ def test_dump_annotations(runner, query_file):
     assert any(r["provenance"] == "e15*e16" for r in ooi)
 
 
-@pytest.mark.parametrize("what", ["annotations", "plan"])
-def test_dump_matches_golden_output(runner, query_file, what):
+@pytest.mark.parametrize("what", ["answers", "annotations", "plan", "stats", "register"])
+def test_dump_matches_golden_output(runner, tmp_path, monkeypatch, what):
     """The running query's dump, byte for byte as recorded in
-    tests/data/running_<what>.jsonl."""
-    result = runner.invoke(main, ["dump", "-g", FIXTURE, "-q", query_file, what])
+    tests/data/running_<what>.jsonl, and its `register` output as
+    recorded in tests/data/running_register.txt.  The query file is
+    named by a relative path, because `register` prints it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "collab.rq").write_text(RUNNING_QUERY, encoding="utf-8")
+    if what == "register":
+        args, golden = ["register", "-g", FIXTURE, "collab.rq"], "running_register.txt"
+    else:
+        args, golden = ["dump", "-g", FIXTURE, "-q", "collab.rq", what], f"running_{what}.jsonl"
+    result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
-    golden = os.path.join(os.path.dirname(FIXTURE), f"running_{what}.jsonl")
-    with open(golden, "rb") as fh:
+    with open(os.path.join(os.path.dirname(FIXTURE), golden), "rb") as fh:
         assert result.stdout_bytes == fh.read()
 
 

@@ -8,10 +8,11 @@ import random
 
 import pytest
 
-from kgprov import evaluate, maintenance
+from kgprov import evaluate, inspection, maintenance
 from kgprov.evaluate import evaluate_patterns, materialize_plan
-from kgprov.maintenance import IN, OUT, Engine
-from kgprov.planner import LeafView, merge_into_global, plan_dump, select_best_plan
+from kgprov.inspection import IN, OUT, SubqueryType, generate_subqueries, plan_dump
+from kgprov.maintenance import Engine
+from kgprov.planner import LeafView, merge_into_global, select_best_plan
 from kgprov.provenance import Polynomial
 from kgprov.query import (
     QueryError,
@@ -23,7 +24,6 @@ from kgprov.query import (
     parse_query,
 )
 from kgprov.store import KnowledgeGraph, bucket_add, load_ntriples_file
-from kgprov.subquery import SubqueryType, generate_subqueries
 from kgprov.workload import random_graph, random_query
 
 from conftest import FIXTURE, RUNNING_QUERY, brute_force_answers, enumerate_matches
@@ -437,7 +437,7 @@ def test_registration_generates_no_subquery(academia, monkeypatch):
     def refuse(q):
         raise AssertionError("registration generated subqueries")
 
-    monkeypatch.setattr(maintenance, "generate_subqueries", refuse)
+    monkeypatch.setattr(inspection, "generate_subqueries", refuse)
     g = academia
     for i in range(11):  # a path for the chain's c0 ... c10
         g.insert_triple(f"n{i}", f"c{i}", f"n{i + 1}")
@@ -717,7 +717,7 @@ def test_each_plan_node_materialized_once(engine, monkeypatch):
     scanned = []  # pattern lists evaluated from scratch
     real_materialize = maintenance.materialize_plan
     real_evaluate = evaluate.evaluate_patterns
-    for module in (evaluate, maintenance):
+    for module in (evaluate, inspection):
         monkeypatch.setattr(
             module, "evaluate_patterns",
             lambda patterns, *a: scanned.append(patterns) or real_evaluate(patterns, *a),

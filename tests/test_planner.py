@@ -8,12 +8,12 @@ from itertools import combinations
 
 import pytest
 
+from kgprov.inspection import coverage, plan_dump
 from kgprov.maintenance import Engine
 from kgprov.planner import (
     GlobalPlan,
     StatsCatalog,
     compute_statistics,
-    coverage,
     estimate_cardinality,
     merge_into_global,
     patterns_from_key,
@@ -497,6 +497,8 @@ def test_no_duplicate_canonical_keys_and_topo_order(academia):
         for child_key, _ in node.children or ():
             assert child_key in seen
         seen.add(node.key)
+    # the dump lists the nodes in creation order, which is topological
+    assert [entry["expr"] for entry in plan_dump(plan)] == [n.label() for n in order]
 
 
 def test_patterns_from_key_round_trip():

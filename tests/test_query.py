@@ -19,7 +19,7 @@ from kgprov.query import (
     may_share_edge,
     parse_query,
     pretty_print,
-    variable_components,
+    pattern_components,
     variable_connected,
 )
 
@@ -103,8 +103,13 @@ def test_variable_connectivity():
     assert variable_connected(joined)
     split = make([(Var("x"), "p", "C"), ("C", "q", Var("z"))])
     assert not variable_connected(split)  # constants never link components
-    comps = variable_components(split)
+    comps = pattern_components(split)
     assert sorted(len(c) for c in comps) == [1, 1]
+    assert len(pattern_components(split, by_constants=True)) == 1
+    # a shared predicate variable links neither test
+    shared_p = make([(Var("x"), Var("p"), Var("y")), (Var("a"), Var("p"), Var("b"))])
+    assert not variable_connected(shared_p)
+    assert len(pattern_components(shared_p)) == 2
 
 
 def test_parse_rejects_disconnected_where_clause():

@@ -18,10 +18,10 @@ from hypothesis.stateful import (
 )
 
 from kgprov import evaluate, maintenance
+from kgprov.inspection import generate_subqueries
 from kgprov.maintenance import Engine
 from kgprov.query import EXACT_CANONICAL_LIMIT, QueryError, Var, canonicalize, parse_query
 from kgprov.store import KnowledgeGraph
-from kgprov.subquery import generate_subqueries
 
 from conftest import brute_force_answers
 

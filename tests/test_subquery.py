@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from kgprov.query import QueryGraph, TriplePattern, Var, parse_query
-from kgprov.subquery import (
+from kgprov.inspection import (
     DegenerateQueryError,
     Subquery,
     SubqueryType,
     generate_subqueries,
 )
+from kgprov.query import QueryGraph, TriplePattern, Var, parse_query
 
 
 def ordinals(component):
