@@ -13,6 +13,10 @@ edge multisets of its derivations, so deletion reduces to monomial
 pruning and insertion to join deltas.  A plan leaf keeps no rows: a join
 reads it from the store's buckets, one edge symbol per edge, so it has
 nothing to apply on insert and nothing to prune on delete.
+
+Sum rule: a join adds each product into its row with `provenance.add_to`,
+and `join_tables` and `join_delta` end with one `provenance.summed`, so an
+N-term row costs one sort; `evaluate_patterns`, the reference, keeps its own.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids, slot_index
-from .provenance import MONO_ONE, Monomial, Polynomial, ResultDelta, mono_mul
+from .provenance import MONO_ONE, Monomial, Polynomial, ResultDelta, add_to, mono_mul, summed
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph, bucket_add, bucket_discard, bucket_entries
 
@@ -128,13 +132,13 @@ def join_tables(
             probe, scan, other = probes[1], right, left
         rows = scan.table.symbols() if scan.is_leaf else scan.table.items()
         _probe_store(rows, probe, other.table, out, None)
-        return out
+        return summed(out)
     probe, big, small = probes[0], left, right
     if len(left.table) < len(right.table):
         probe, big, small = probes[1], right, left
     if small.table:  # an empty side leaves the join empty
         _probe(big.table, probe, small, small.table, out)
-    return out
+    return summed(out)
 
 
 def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
@@ -187,7 +191,7 @@ def _probe(
     out: dict[tuple[int, ...], Polynomial],
     skip: int | None = None,
 ):
-    """Join delta rows against one input side into `out`.
+    """Join delta rows against one input side into `out`, by `add_to`.
 
     `other_rows=None` probes the side's full table: a leaf's in the
     store, leaving out edge `skip`, a join node's through its cached
@@ -206,9 +210,7 @@ def _probe(
         if bucket is None:
             continue
         for orow in bucket_entries(bucket):
-            key = parent_row(drow + orow)
-            poly = dpoly * other_rows[orow]
-            out[key] = out[key] + poly if key in out else poly
+            add_to(out, parent_row(drow + orow), dpoly * other_rows[orow])
 
 
 def _probe_store(
@@ -242,9 +244,7 @@ def _probe_store(
             found = bucket_entries(bucket)
         for eid in found:
             if eid != skip:
-                key = parent_row(drow + row_of(edges[eid]))
-                poly = dpoly.times_edge(eid)
-                out[key] = out[key] + poly if key in out else poly
+                add_to(out, parent_row(drow + row_of(edges[eid])), dpoly.times_edge(eid))
 
 
 def join_delta(
@@ -268,7 +268,7 @@ def join_delta(
         _probe(dr, rprobe, left, None, d, skip)
     if dl and dr:
         _probe(dl, lprobe, right, dr, d)
-    return d
+    return summed(d) if d else d  # most deltas are empty: skip the call
 
 
 def compute_insert_deltas(

@@ -45,7 +45,7 @@ from .planner import (
     select_best_plan,
     tuple_getter,
 )
-from .provenance import Polynomial, ProvTable, Row
+from .provenance import Polynomial, ProvTable, Row, add_to, summed
 from .query import (
     QueryError,
     QueryGraph,
@@ -107,9 +107,8 @@ def _project(rows: dict[Row, Polynomial], key: Callable[[Row], Row]) -> dict[Row
     """Sum the polynomials of rows that share a projected key."""
     out: dict[Row, Polynomial] = {}
     for row, poly in rows.items():
-        k = key(row)
-        out[k] = out[k] + poly if k in out else poly
-    return out
+        add_to(out, key(row), poly)
+    return summed(out)
 
 
 class Engine:

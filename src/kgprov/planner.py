@@ -16,7 +16,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .provenance import Polynomial, ProvTable
+from .provenance import Polynomial, ProvTable, add_to, summed
 from .query import CanonicalForm, CanonicalKey, TriplePattern, Var, canonicalize
 from .store import Edge, KnowledgeGraph, bucket_add, bucket_entries, bucket_faults
 
@@ -403,13 +403,11 @@ class LeafView(Mapping):
         """Every row, from one read of the store."""
         out: dict[tuple[int, ...], Polynomial] = {}
         for key, poly in self.symbols():
-            out[key] = out[key] + poly if key in out else poly
-        return out
+            add_to(out, key, poly)
+        return summed(out)
 
     def __getitem__(self, row: tuple[int, ...]) -> Polynomial:
-        poly = Polynomial.zero()
-        for eid in self.edge_ids(range(len(row)), row):
-            poly = poly + Polynomial.edge(eid)
+        poly = Polynomial({((eid, 1),): 1 for eid in self.edge_ids(range(len(row)), row)})
         if not poly:
             raise KeyError(row)
         return poly

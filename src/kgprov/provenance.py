@@ -158,13 +158,6 @@ class Polynomial:
 
     # --- deletion support ---
 
-    def survives_deletion(self, deleted: int) -> bool:
-        """Evaluate with `deleted` set to 0 and every other symbol to 1.
-
-        True iff at least one monomial does not contain the deleted edge.
-        """
-        return any(mono_degree(m, deleted) == 0 for m, _ in self.terms)
-
     def prune(self, deleted: int) -> Polynomial:
         """Drop every monomial that contains the deleted edge."""
         terms = self.terms
@@ -234,6 +227,34 @@ class Polynomial:
 
 _ZERO = Polynomial()
 _ONE = Polynomial({MONO_ONE: 1})
+
+
+# --------------------------------------------------------------------------
+# Summing products into rows
+# --------------------------------------------------------------------------
+
+
+def add_to(out: dict, key: Hashable, poly: Polynomial) -> None:
+    """Add `poly` onto `out[key]`: a key's first polynomial is kept as it
+    is, and its second opens a monomial -> coefficient dict that later
+    ones add into.  `summed` must follow before the entries are read."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = poly
+        return
+    if acc.__class__ is Polynomial:
+        acc = out[key] = dict(acc.terms)
+    for m, c in poly.terms:
+        acc[m] = acc.get(m, 0) + c
+
+
+def summed(out: dict) -> dict:
+    """Make each term dict that `add_to` opened in `out` a canonical
+    polynomial, with one sort, in place; returns `out`."""
+    for key, acc in out.items():
+        if acc.__class__ is dict:
+            out[key] = Polynomial._of(tuple(sorted(acc.items())))
+    return out
 
 
 # --------------------------------------------------------------------------

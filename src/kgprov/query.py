@@ -197,17 +197,6 @@ def parse_query(text: str) -> QueryGraph:
     return q
 
 
-def pretty_print(q: QueryGraph) -> str:
-    def t(term: Term) -> str:
-        return f"?{term.name}" if isinstance(term, Var) else term
-
-    lines = ["SELECT " + " ".join(f"?{v}" for v in q.projection) + " WHERE {"]
-    for p in q.patterns:
-        lines.append(f"  {t(p.subject)} {t(p.predicate)} {t(p.object)} .")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def pattern_components(
     patterns: list[TriplePattern], by_constants: bool = False
 ) -> list[list[TriplePattern]]:

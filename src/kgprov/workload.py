@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .evaluate import evaluate_bgp
+from .evaluate import evaluate_patterns
 from .maintenance import Engine
 from .provenance import Polynomial
 from .query import QueryGraph, TriplePattern, Var
@@ -208,14 +208,6 @@ def apply_incremental(engine: Engine, ops: list[Op]) -> BenchReport:
     return report
 
 
-def _from_scratch(q: QueryGraph, g: KnowledgeGraph) -> dict[tuple[int, ...], Polynomial]:
-    """q's answers evaluated from the store: projected row -> polynomial."""
-    return {
-        tuple(r.bindings[v] for v in q.projection): r.provenance
-        for r in evaluate_bgp(q, g)
-    }
-
-
 class NaiveRunner:
     """Baseline: after each update, re-execute every query whose
     predicate set contains the updated edge's predicate."""
@@ -224,13 +216,13 @@ class NaiveRunner:
         self.graph = graph
         self.queries = queries
         self.answers: list[dict[tuple[int, ...], Polynomial]] = [
-            _from_scratch(q, graph) for q in queries
+            evaluate_patterns(q.patterns, graph, q.projection) for q in queries
         ]
 
     def _refresh(self, pred: str):
         for i, q in enumerate(self.queries):
             if any(p.predicate == pred for p in q.patterns):
-                self.answers[i] = _from_scratch(q, self.graph)
+                self.answers[i] = evaluate_patterns(q.patterns, self.graph, q.projection)
 
     def apply(self, ops: list[Op]) -> BenchReport:
         report = BenchReport(mode="naive")
@@ -406,7 +398,7 @@ def run_equivalence_trials(
             report.updates += 1
             for qid, q in registered:
                 report.comparisons += 1
-                want = _from_scratch(q, g)
+                want = evaluate_patterns(q.patterns, g, q.projection)
                 got = engine.queries[qid].answers
                 if want != got:
                     report.failures.append(

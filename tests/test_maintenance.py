@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import collections
 import random
+import sys
 
 import pytest
 
-from kgprov import evaluate, inspection, maintenance
+from kgprov import evaluate, inspection, maintenance, planner, provenance
 from kgprov.evaluate import evaluate_patterns, materialize_plan
 from kgprov.inspection import IN, OUT, SubqueryType, generate_subqueries, plan_dump
 from kgprov.maintenance import Engine
@@ -586,6 +587,104 @@ def test_answer_join_tracks_oracle_on_every_shape():
         )
     assert degree_two > 0
     assert len(seen) == len(queries) + 1 and min(seen.values()) > 0
+
+
+HUB_QUERY = "SELECT ?y WHERE { ?a p ?y . ?b q ?y . }"
+
+
+def hub_graph(n, copies=1):
+    """n edges `a_i p hub` and n edges `b_i q hub`, those of a0 and b0
+    `copies` times each: the hub query's one answer has (n + copies - 1)²
+    monomials."""
+    g = KnowledgeGraph()
+    for i in range(n):
+        for _ in range(copies if i == 0 else 1):
+            g.insert_triple(f"a{i}", "p", "hub")
+            g.insert_triple(f"b{i}", "q", "hub")
+    return g
+
+
+def test_hub_rows_sum_many_products(monkeypatch):
+    """On a hub with duplicate triples every place that sums products
+    into a row puts three or more on one row: a leaf ⋈ leaf join, the
+    delta rule's probes at an insert (its ΔL⋈ΔR on hashed rows
+    included), a projection that drops a variable, and a leaf's rows.
+    Answers match the oracle and the audit stays clean, through an
+    insert and a delete at the hub."""
+    g = hub_graph(4, copies=3)
+    keep, counts = [], collections.Counter()  # outputs seen; (output, key) -> adds
+    most = collections.Counter()  # site -> the most adds onto one key
+
+    def spy(out, key, poly):
+        frame = sys._getframe(1)
+        site = frame.f_code.co_name
+        if site == "_probe":
+            hashed = frame.f_locals["other_rows"] is not frame.f_locals["other"].table
+            site += " hashed" if hashed else " table"
+        keep.append(out)  # so that no output's id is reused
+        counts[id(out), key] += 1
+        most[site] = max(most[site], counts[id(out), key])
+        real_add_to(out, key, poly)
+
+    real_add_to = provenance.add_to
+    for module in (evaluate, maintenance, planner):
+        monkeypatch.setattr(module, "add_to", spy)
+    engine = Engine(g)
+    queries = [
+        parse_query(HUB_QUERY),  # leaf ⋈ leaf
+        # a join ⋈ leaf whose two sides one inserted p edge both change
+        parse_query("SELECT ?y WHERE { ?a p ?y . ?b p ?y . ?c p ?y . }"),
+        parse_query("SELECT ?y WHERE { ?a p ?y . }"),  # projects ?a away
+    ]
+
+    def check():
+        for qid, rq in engine.queries.items():
+            assert answer_dict(engine, qid) == brute_force_answers(rq.query, g)
+        assert engine.index_audit() == []
+
+    for q in queries:
+        engine.register_query(q)
+    check()
+    assert most["_probe_store"] >= 3 and most["_project"] >= 3
+    most.clear()
+    engine.insert_triple("a0", "p", "hub")
+    check()
+    assert min(most[site] for site in ("_probe_store", "_probe table", "_probe hashed")) >= 3
+    a0, p, hub = g.node("a0"), g.predicates.get("p"), g.node("hub")
+    engine.delete_edge(min(g.lookup_ids(a0, p, hub)))
+    check()
+    assert len(engine.queries[1].answers[(hub,)].terms) == 6 * 6
+
+    most.clear()
+    view = LeafView(g, TriplePattern(Var("v0"), "p", Var("v1"), ordinal=0))
+    want = evaluate_patterns([view.pattern], g, ["v0", "v1"])
+    assert view.rows() == want and most["rows"] >= 3
+    assert view[(a0, hub)] == want[(a0, hub)] and len(want[(a0, hub)].terms) == 3
+
+
+def test_hub_registration_builds_linear_terms(monkeypatch):
+    """Registering the hub query at n = 30, whose one answer has 900
+    monomials, builds polynomials of at most four times as many terms in
+    all: each row's products are summed once, not re-sorted per add."""
+    g = hub_graph(30)
+    built = [0]
+    real_init, real_of = Polynomial.__init__, Polynomial._of
+
+    def counting_init(self, terms=None):
+        real_init(self, terms)
+        built[0] += len(self.terms)
+
+    def counting_of(terms):
+        built[0] += len(terms)
+        return real_of(terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(Polynomial, "_of", staticmethod(counting_of))
+    engine = Engine(g)
+    qid = engine.register_query(parse_query(HUB_QUERY)).query_id
+    [answer] = engine.queries[qid].answers.values()
+    assert len(answer.terms) == 900
+    assert built[0] <= 4 * 900
 
 
 def oracle_connection_points(engine):

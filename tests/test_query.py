@@ -18,7 +18,6 @@ from kgprov.query import (
     classify_query,
     may_share_edge,
     parse_query,
-    pretty_print,
     pattern_components,
     variable_connected,
 )
@@ -78,13 +77,6 @@ def test_parse_error_positions():
 def test_unsupported_keywords_rejected(text):
     with pytest.raises(UnsupportedFeatureError):
         parse_query(text)
-
-
-def test_pretty_print_round_trips(running_query):
-    again = parse_query(pretty_print(running_query))
-    assert canonicalize(again.patterns).key == canonicalize(
-        running_query.patterns
-    ).key
 
 
 # ---------------------------------------------------------------------------
