@@ -7,6 +7,9 @@ conjunction's matches by index nested loops over the store's edge ids
 and is the reference the maintained answers are checked against.  The
 plan has its own join (`join_tables`) and delta rule (`join_delta`),
 which serve both the plan's join nodes and the engine's answer joins.
+Every such join is node ⋈ leaf, so an insert's delta takes two probes,
+ΔL⋈R_new + L_old⋈ΔR: the leaf, read from the store, already holds the
+edge and so supplies the terms of ΔL⋈ΔR.
 
 Every produced row carries a polynomial whose monomials are exactly the
 edge multisets of its derivations, so deletion reduces to monomial
@@ -24,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids, slot_index
+from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids, tuple_getter
 from .provenance import MONO_ONE, Monomial, Polynomial, ResultDelta, add_to, mono_mul, summed
 from .query import QueryGraph, TriplePattern, Var
 from .store import Edge, KnowledgeGraph, bucket_add, bucket_discard, bucket_entries
@@ -114,30 +117,22 @@ def evaluate_bgp(q: QueryGraph, g: KnowledgeGraph) -> list[BindingRow]:
 def join_tables(
     left: PlanNode, right: PlanNode, probes: tuple[JoinProbe, JoinProbe]
 ) -> dict[tuple[int, ...], Polynomial]:
-    """left ⋈ right from the two nodes' current tables; `probes` lays out
-    left rows probing right and right rows probing left.
+    """left ⋈ right from the two nodes' current tables, where `right` is a
+    plan leaf, as every plan chain step and answer join is; `probes` lays
+    out left rows probing right and right rows probing left.
 
     Both sides hold full bindings, so summing the products over matching
-    row pairs yields every derivation exactly once.  A leaf is probed in
-    the store's buckets: the other side is scanned, or, when both are
-    leaves, the one with fewer edges, edge by edge, so that a product is
-    formed only for a matching pair of edges (a row's polynomial is the
-    sum of its edge symbols, over which the product distributes).  Two
-    join nodes hash the smaller table for this join only, so the call
-    leaves no index behind that the update path did not ask for."""
+    row pairs yields every derivation exactly once.  The leaf is probed
+    in the store's buckets: the left side is scanned, or, when it is a
+    leaf too, the one with fewer edges, edge by edge, so that a product
+    is formed only for a matching pair of edges (a row's polynomial is
+    the sum of its edge symbols, over which the product distributes)."""
     out: dict[tuple[int, ...], Polynomial] = {}
-    if left.is_leaf or right.is_leaf:
-        probe, scan, other = probes[0], left, right
-        if not right.is_leaf or (left.is_leaf and right.table.count() < left.table.count()):
-            probe, scan, other = probes[1], right, left
-        rows = scan.table.symbols() if scan.is_leaf else scan.table.items()
-        _probe_store(rows, probe, other.table, out, None)
-        return summed(out)
-    probe, big, small = probes[0], left, right
-    if len(left.table) < len(right.table):
-        probe, big, small = probes[1], right, left
-    if small.table:  # an empty side leaves the join empty
-        _probe(big.table, probe, small, small.table, out)
+    probe, scan, other = probes[0], left, right
+    if left.is_leaf and right.table.count() < left.table.count():
+        probe, scan, other = probes[1], right, left
+    rows = scan.table.symbols() if scan.is_leaf else scan.table.items()
+    _probe_store(rows, probe, other.table, out, None)
     return summed(out)
 
 
@@ -159,6 +154,16 @@ def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
 # --------------------------------------------------------------------------
 # Node table indexes
 # --------------------------------------------------------------------------
+
+
+def slot_index(rows: Iterable[tuple[int, ...]], slots: tuple[int, ...]) -> dict:
+    """Hash index of rows on a slot subset: key tuple -> the
+    bucket of rows with that key (one row bare, more in a set)."""
+    idx: dict = {}
+    key_of = tuple_getter(slots)
+    for row in rows:
+        bucket_add(idx, key_of(row), row)
+    return idx
 
 
 def node_index(node: PlanNode, slots: tuple[int, ...]):
@@ -187,30 +192,23 @@ def _probe(
     delta: Mapping[tuple[int, ...], Polynomial],
     probe: JoinProbe,
     other: PlanNode,
-    other_rows: dict[tuple[int, ...], Polynomial] | None,
     out: dict[tuple[int, ...], Polynomial],
-    skip: int | None = None,
+    skip: int,
 ):
-    """Join delta rows against one input side into `out`, by `add_to`.
-
-    `other_rows=None` probes the side's full table: a leaf's in the
-    store, leaving out edge `skip`, a join node's through its cached
-    index.  Otherwise the given rows are hashed for this call only.
-    """
-    if other_rows is None:
-        if other.is_leaf:
-            _probe_store(delta.items(), probe, other.table, out, skip)
-            return
-        idx, other_rows = node_index(other, probe.o_slots), other.table
-    else:
-        idx = slot_index(other_rows, probe.o_slots)
+    """Join delta rows against the full table of one input side into
+    `out`, by `add_to`: a leaf's in the store, leaving out edge `skip`,
+    a join node's through its cached index."""
+    if other.is_leaf:
+        _probe_store(delta.items(), probe, other.table, out, skip)
+        return
+    idx, table = node_index(other, probe.o_slots), other.table
     d_key, parent_row = probe.d_key, probe.parent_row
     for drow, dpoly in delta.items():
         bucket = idx.get(d_key(drow))
         if bucket is None:
             continue
         for orow in bucket_entries(bucket):
-            add_to(out, parent_row(drow + orow), dpoly * other_rows[orow])
+            add_to(out, parent_row(drow + orow), dpoly * table[orow])
 
 
 def _probe_store(
@@ -253,21 +251,22 @@ def join_delta(
     probes: tuple[JoinProbe, JoinProbe],
     dl: dict[tuple[int, ...], Polynomial] | None,
     dr: dict[tuple[int, ...], Polynomial] | None,
-    skip: int | None = None,
+    skip: int,
 ) -> dict[tuple[int, ...], Polynomial]:
-    """The delta rule ΔL⋈R + L⋈ΔR + ΔL⋈ΔR of left ⋈ right, given each
-    side's delta (None or empty for none) against its current, pre-apply
-    table; `probes` is laid out as for `join_tables`.  `skip` is the
-    inserted edge, which the store already holds but a leaf's pre-insert
-    table does not: ΔL⋈ΔR supplies its terms."""
+    """The delta of left ⋈ right for the inserted edge `skip`, given each
+    side's delta (None or empty for none) against its pre-apply table;
+    `right` is a plan leaf and `probes` is laid out as for `join_tables`.
+
+    The store already holds the edge, so the leaf read there is R_new,
+    and ΔL⋈R + L⋈ΔR + ΔL⋈ΔR is computed as ΔL⋈R_new + L_old⋈ΔR: ΔL
+    probes the leaf in full, and ΔR probes the left side as it was
+    before the edge, a leaf leaving `skip` out."""
     lprobe, rprobe = probes
     d: dict[tuple[int, ...], Polynomial] = {}
     if dl:
-        _probe(dl, lprobe, right, None, d, skip)
+        _probe_store(dl.items(), lprobe, right.table, d, None)
     if dr:
-        _probe(dr, rprobe, left, None, d, skip)
-    if dl and dr:
-        _probe(dl, lprobe, right, dr, d)
+        _probe(dr, rprobe, left, d, skip)
     return summed(d) if d else d  # most deltas are empty: skip the call
 
 

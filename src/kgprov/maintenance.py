@@ -140,7 +140,8 @@ class Engine:
                 "query components connected only through constants cannot "
                 "be registered for maintenance"
             )
-        form = canonicalize(q.patterns).key
+        cf = canonicalize(q.patterns)
+        form = (cf.key, tuple(cf.varmap[v] for v in q.projection))
         if form in self._registered_forms:
             raise QueryError("query already registered")
 
@@ -323,9 +324,9 @@ class Engine:
         canonical, that every row group belongs to a plan node or a
         registered query, that no leaf holds a group, edge entries or a
         probe index, that every plan node feeds some answer join and that
-        its `roots` count the joins rooted at it, and recompute every
-        query's answers from its answer join; an empty list means
-        consistent."""
+        its `roots` count the joins rooted at it, that every query's
+        `leaf` is a plan leaf, and recompute every query's answers from
+        its answer join; an empty list means consistent."""
         problems = self.graph.audit()
         problems += [f"edge-to-result {p}" for p in self.answers.audit()]
         problems += [
@@ -349,6 +350,9 @@ class Engine:
                     f"plan node {node!r} roots {rooted[node]} answer joins, not {node.roots}"
                 )
         for qid, rq in self.queries.items():
+            if not rq.leaf.is_leaf:  # the answer join probes its leaf in the store
+                problems.append(f"query {qid} joins {rq.leaf!r}, which is not a leaf")
+                continue
             want, have = self._answer_join(rq), rq.answers
             problems += sorted(
                 f"answer mismatch in query {qid} at {row}"

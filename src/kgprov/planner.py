@@ -1,11 +1,12 @@
-"""Join planning for standing-query subqueries.
+"""Join planning for the root of each standing query's answer join.
 
-A planned subquery component gets one greedy left-deep join order, scored
-with characteristic-pair statistics: it starts from the cheapest pair
-of patterns and adds the cheapest connected pattern at each step.  The
-order's prefixes are merged into a single global DAG shared by
-canonical form, so an expression common to several subqueries is
-materialized once.
+Registration plans one component, the patterns of root(k) (the query
+less its pattern k), with one greedy left-deep join order scored with
+characteristic-pair statistics: it starts from the cheapest pair of
+patterns and adds the cheapest connected pattern at each step.  The
+order's prefixes, each the prefix before it joined with the leaf of its
+last pattern, are merged into a single global DAG shared by canonical
+form, so an expression common to several queries is materialized once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .provenance import Polynomial, ProvTable, add_to, summed
 from .query import CanonicalForm, CanonicalKey, TriplePattern, Var, canonicalize
-from .store import Edge, KnowledgeGraph, bucket_add, bucket_entries, bucket_faults
+from .store import Edge, KnowledgeGraph, bucket_entries, bucket_faults
 
 # --------------------------------------------------------------------------
 # Statistics
@@ -300,16 +301,6 @@ def join_probe(dmap: dict[int, int], omap: dict[int, int], num_vars: int) -> Joi
     return JoinProbe(o_slots, tuple_getter(d_slots), tuple_getter(gather))
 
 
-def slot_index(rows: Iterable[tuple[int, ...]], slots: tuple[int, ...]) -> dict:
-    """Hash index of rows on a slot subset: key tuple -> the
-    bucket of rows with that key (one row bare, more in a set)."""
-    idx: dict = {}
-    key_of = tuple_getter(slots)
-    for row in rows:
-        bucket_add(idx, key_of(row), row)
-    return idx
-
-
 def pattern_ids(g: KnowledgeGraph, p: TriplePattern) -> tuple[int | None, int | None, int | None] | None:
     """The store ids of a pattern's subject, predicate and object, None
     at a variable; None instead when a constant is not in the store, as
@@ -446,7 +437,7 @@ class PlanNode:
     # join nodes: (left child's rows probing the right, right's probing
     # the left)
     probes: tuple[JoinProbe, JoinProbe] | None = None
-    # lazily built hash indexes: slot subset -> `slot_index` of the table
+    # lazily built probe indexes, slot subset -> `evaluate.slot_index`
     indexes: dict[tuple[int, ...], dict] = field(default_factory=dict)
 
     @property
@@ -490,8 +481,9 @@ class GlobalPlan:
         plan, every leaf that holds a group, an edge entry or a probe
         index, every join-probe index bucket that breaks the bucket
         invariant, every index that differs from one rebuilt from its
-        node's table, and every join node whose child is missing from
-        `nodes` or comes after it there (creation order is topological)."""
+        node's table, every join node whose child is missing from `nodes`
+        or comes after it there (creation order is topological), and
+        every join node whose right child is not a leaf."""
         problems = self.rows.audit()
         position = {key: i for i, key in enumerate(self.nodes)}
         problems += [
@@ -512,6 +504,9 @@ class GlobalPlan:
         for node in self.nodes.values():
             if node.is_leaf and node.indexes:
                 problems.append(f"leaf {node!r} holds a probe index")
+            right = node.children and self.nodes.get(node.children[1][0])
+            if right and not right.is_leaf:  # joins probe their right side in the store
+                problems.append(f"join {node!r} has a right child {right!r} that is not a leaf")
             for slots, idx in node.indexes.items():
                 key = tuple_getter(slots)
                 want: dict = {}

@@ -127,7 +127,7 @@ def parse_workload(lines) -> list[Op]:
         parts = line.split()
         if parts[0] == "+" and len(parts) == 4:
             ops.append(("+", tuple(parts[1:])))
-        elif parts[0] == "-" and len(parts) == 2 and parts[1].startswith("e"):
+        elif parts[0] == "-" and len(parts) == 2 and parts[1][0] == "e" and parts[1][1:].isdecimal():
             ops.append(("-id", int(parts[1][1:])))
         elif parts[0] == "-" and len(parts) == 4:
             ops.append(("-triple", tuple(parts[1:])))

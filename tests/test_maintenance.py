@@ -113,6 +113,19 @@ def test_duplicate_registration_rejected(registered):
         engine.register_query(renamed)
 
 
+def test_other_projection_registers(engine):
+    """The same patterns under another projection are another query."""
+    g = engine.graph
+    for v in ("?x", "?y"):
+        engine.register_query(parse_query(f"SELECT {v} WHERE {{ ?x hadAdvisor ?y . }}"))
+    with pytest.raises(QueryError):
+        engine.register_query(parse_query("SELECT ?b WHERE { ?a hadAdvisor ?b . }"))
+    for qid, rq in engine.queries.items():
+        assert answer_dict(engine, qid) == brute_force_answers(rq.query, g)
+    assert answer_dict(engine, 1) != answer_dict(engine, 2)
+    assert engine.index_audit() == []
+
+
 def test_variable_predicate_rejected(engine):
     q = parse_query("SELECT ?x WHERE { ?x ?p ?y . }")
     with pytest.raises(UnsupportedFeatureError):
@@ -607,28 +620,34 @@ def hub_graph(n, copies=1):
 def test_hub_rows_sum_many_products(monkeypatch):
     """On a hub with duplicate triples every place that sums products
     into a row puts three or more on one row: a leaf ⋈ leaf join, the
-    delta rule's probes at an insert (its ΔL⋈ΔR on hashed rows
-    included), a projection that drops a variable, and a leaf's rows.
-    Answers match the oracle and the audit stays clean, through an
-    insert and a delete at the hub."""
+    delta rule's probes at an insert, into the store and into a join
+    node's index, a projection that drops a variable, and a leaf's rows.
+    The insert changes both sides of a join, so the ΔL⋈ΔR terms that
+    the leaf's store read supplies are checked too.  Answers match the
+    oracle and the audit stays clean, through an insert and a delete at
+    the hub."""
     g = hub_graph(4, copies=3)
     keep, counts = [], collections.Counter()  # outputs seen; (output, key) -> adds
     most = collections.Counter()  # site -> the most adds onto one key
+    both = []  # the (left, right) of every join_delta given two deltas
 
     def spy(out, key, poly):
-        frame = sys._getframe(1)
-        site = frame.f_code.co_name
-        if site == "_probe":
-            hashed = frame.f_locals["other_rows"] is not frame.f_locals["other"].table
-            site += " hashed" if hashed else " table"
+        site = sys._getframe(1).f_code.co_name
         keep.append(out)  # so that no output's id is reused
         counts[id(out), key] += 1
         most[site] = max(most[site], counts[id(out), key])
         real_add_to(out, key, poly)
 
-    real_add_to = provenance.add_to
+    def delta_spy(left, right, probes, dl, dr, skip):
+        if dl and dr:
+            both.append((left, right))
+        return real_join_delta(left, right, probes, dl, dr, skip)
+
+    real_add_to, real_join_delta = provenance.add_to, evaluate.join_delta
     for module in (evaluate, maintenance, planner):
         monkeypatch.setattr(module, "add_to", spy)
+    for module in (evaluate, maintenance):
+        monkeypatch.setattr(module, "join_delta", delta_spy)
     engine = Engine(g)
     queries = [
         parse_query(HUB_QUERY),  # leaf ⋈ leaf
@@ -649,7 +668,11 @@ def test_hub_rows_sum_many_products(monkeypatch):
     most.clear()
     engine.insert_triple("a0", "p", "hub")
     check()
-    assert min(most[site] for site in ("_probe_store", "_probe table", "_probe hashed")) >= 3
+    assert most["_probe_store"] >= 3 and most["_probe"] >= 3
+    # the three-p query's root joins the p leaf with itself, and its
+    # answer join that root with the p leaf: one edge changes both sides
+    three_p = engine.queries[2]
+    assert (three_p.leaf, three_p.leaf) in both and (three_p.root, three_p.leaf) in both
     a0, p, hub = g.node("a0"), g.predicates.get("p"), g.node("hub")
     engine.delete_edge(min(g.lookup_ids(a0, p, hub)))
     check()
@@ -1014,6 +1037,22 @@ def test_audit_flags_dead_plan_node(registered):
         f"plan node {dead!r} feeds no answer join",
         f"plan node {dead!r} roots 0 answer joins, not 1",
     ]
+
+
+def test_audit_flags_join_without_leaf_on_its_right(registered):
+    """Every join probes its right side in the store, so a join node whose
+    right child is a join node, or a query whose `leaf` is one, is a fault."""
+    engine, _ = registered
+    nodes = engine.plan.nodes
+    assert engine.index_audit() == []
+    join = next(n for n in nodes.values() if n.children and not nodes[n.children[0][0]].is_leaf)
+    join.children = join.children[::-1]
+    rq = engine.queries[1]
+    rq.leaf = rq.root
+    problems = engine.index_audit()
+    right = nodes[join.children[1][0]]
+    assert f"plan join {join!r} has a right child {right!r} that is not a leaf" in problems
+    assert f"query 1 joins {rq.root!r}, which is not a leaf" in problems
 
 
 def test_audit_flags_plan_out_of_creation_order(registered):

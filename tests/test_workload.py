@@ -103,7 +103,9 @@ def test_parse_workload_forms():
     assert ops == [("+", ("a", "p", "b")), ("-id", 12), ("-triple", ("a", "p", "b"))]
 
 
-@pytest.mark.parametrize("line", ["* a p b", "+ a p", "- a p", "-", "+ a p b c"])
+@pytest.mark.parametrize(
+    "line", ["* a p b", "+ a p", "- a p", "-", "+ a p b c", "- e12x", "- e", "- eve"]
+)
 def test_parse_workload_rejects_bad_lines(line):
     with pytest.raises(WorkloadError):
         parse_workload([line])
