@@ -60,14 +60,7 @@ def _build_engine(graph_path: str, query_paths) -> Engine:
 
 
 def _query_predicates(queries) -> list[str]:
-    return sorted(
-        {
-            p.predicate
-            for q in queries
-            for p in q.patterns
-            if isinstance(p.predicate, str)
-        }
-    )
+    return sorted({p.predicate for q in queries for p in q.patterns if isinstance(p.predicate, str)})
 
 
 graph_option = click.option(
@@ -236,15 +229,8 @@ def dump(graph_path, query_paths, what):
         g = _load_graph(graph_path)
         stats = compute_statistics(g)
         for pred in stats.predicates():
-            click.echo(
-                json.dumps(
-                    {
-                        "predicate": pred,
-                        "edges": stats.pred_count(pred),
-                        "distinct_pairs": len(stats.pairs(pred)),
-                    }
-                )
-            )
+            edges, pairs = stats.pred_count(pred), len(stats.pairs(pred))
+            click.echo(json.dumps({"predicate": pred, "edges": edges, "distinct_pairs": pairs}))
         return
     engine = _build_engine(graph_path, query_paths)
     g = engine.graph

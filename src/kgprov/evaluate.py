@@ -9,7 +9,9 @@ plan has its own join (`join_tables`) and delta rule (`join_delta`),
 which serve both the plan's join nodes and the engine's answer joins.
 Every such join is node ⋈ leaf, so an insert's delta takes two probes,
 ΔL⋈R_new + L_old⋈ΔR: the leaf, read from the store, already holds the
-edge and so supplies the terms of ΔL⋈ΔR.
+edge and so supplies the terms of ΔL⋈ΔR.  ΔR probes a join node through
+its key index, which registration built and the plan's `ProvTable`
+keeps current with the rows: no update builds or changes one here.
 
 Every produced row carries a polynomial whose monomials are exactly the
 edge multisets of its derivations, so deletion reduces to monomial
@@ -27,10 +29,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids, tuple_getter
+from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids
 from .provenance import MONO_ONE, Monomial, Polynomial, ResultDelta, add_to, mono_mul, summed
 from .query import QueryGraph, TriplePattern, Var
-from .store import Edge, KnowledgeGraph, bucket_add, bucket_discard, bucket_entries
+from .store import Edge, KnowledgeGraph, bucket_entries
 
 
 @dataclass
@@ -152,38 +154,6 @@ def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
 
 
 # --------------------------------------------------------------------------
-# Node table indexes
-# --------------------------------------------------------------------------
-
-
-def slot_index(rows: Iterable[tuple[int, ...]], slots: tuple[int, ...]) -> dict:
-    """Hash index of rows on a slot subset: key tuple -> the
-    bucket of rows with that key (one row bare, more in a set)."""
-    idx: dict = {}
-    key_of = tuple_getter(slots)
-    for row in rows:
-        bucket_add(idx, key_of(row), row)
-    return idx
-
-
-def node_index(node: PlanNode, slots: tuple[int, ...]):
-    idx = node.indexes.get(slots)
-    if idx is None:
-        idx = node.indexes[slots] = slot_index(node.table, slots)
-    return idx
-
-
-def _index_add(node: PlanNode, row: tuple[int, ...]):
-    for slots, idx in node.indexes.items():
-        bucket_add(idx, tuple(row[s] for s in slots), row)
-
-
-def _index_remove(node: PlanNode, row: tuple[int, ...]):
-    for slots, idx in node.indexes.items():
-        bucket_discard(idx, tuple(row[s] for s in slots), row)
-
-
-# --------------------------------------------------------------------------
 # Insertion deltas
 # --------------------------------------------------------------------------
 
@@ -197,11 +167,12 @@ def _probe(
 ):
     """Join delta rows against the full table of one input side into
     `out`, by `add_to`: a leaf's in the store, leaving out edge `skip`,
-    a join node's through its cached index."""
+    a join node's through its key index on the probed slots, which
+    registration built."""
     if other.is_leaf:
         _probe_store(delta.items(), probe, other.table, out, skip)
         return
-    idx, table = node_index(other, probe.o_slots), other.table
+    idx, table = other.indexes[probe.o_slots], other.table
     d_key, parent_row = probe.d_key, probe.parent_row
     for drow, dpoly in delta.items():
         bucket = idx.get(d_key(drow))
@@ -294,13 +265,11 @@ def compute_insert_deltas(
 
 
 def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
-    """Merge computed insert deltas into the join nodes' tables and
-    indexes; a leaf's delta is in the store already."""
+    """Merge computed insert deltas into the join nodes' tables, which
+    keep their indexes current; a leaf's delta is in the store already."""
     for node, d in deltas.items():
-        if node.is_leaf:
-            continue
-        for row in plan.rows.add(node, d):
-            _index_add(node, row)
+        if not node.is_leaf:
+            plan.rows.add(node, d)
 
 
 # --------------------------------------------------------------------------
@@ -309,17 +278,8 @@ def apply_insert_deltas(plan: GlobalPlan, deltas: dict):
 
 
 def delta_delete(plan: GlobalPlan, edge_id: int) -> dict[PlanNode, ResultDelta]:
-    """Prune the deleted edge's monomials from every indexed plan row;
-    returns {node: ResultDelta}.  Leaves hold no rows, so the store's
-    own delete has already updated them.
-
-    Monomials are exact derivation edge-multisets, so pruning each node
-    independently keeps all tables consistent; no re-join is needed.
-    Every prune is computed before any row or index changes.
-    """
-    report = plan.rows.prune(edge_id)
-    for node, d in report.items():
-        if node.indexes:
-            for row in d.removed:
-                _index_remove(node, row)
-    return report
+    """Prune the deleted edge's monomials from every plan row that has
+    it, computed in full before any row or index changes; returns {node:
+    ResultDelta}.  Monomials are exact derivation edge-multisets, so no
+    re-join is needed, and leaves hold no rows to prune."""
+    return plan.rows.prune(edge_id)

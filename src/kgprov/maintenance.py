@@ -6,12 +6,14 @@ variable-connected, and the root of those other patterns.  Registration
 merges only their join chain and that leaf into the shared global plan,
 and materializes what is new; if any of that fails, the nodes it created
 are dropped again, so a failed registration leaves the engine as it
-was.  Each edge insertion is answered by the plan's delta rule applied
-to the join, and each deletion by pruning the polynomials of the answers
-and the plan tables, two provenance-indexed tables -- no query is ever
-re-executed from scratch.  A plan leaf keeps no table: the answer join,
-and a single-pattern query's answers, read it from the store through its
-`LeafView`, so the store's own update is all it needs.
+was.  After its last step that can fail, it builds every key index that
+updates probe, so no update builds one.  Each edge insertion is answered
+by the plan's delta rule applied to the join, and each deletion by
+pruning the polynomials of the answers and the plan tables, two
+provenance-indexed tables -- no query is ever re-executed from scratch.
+A plan leaf keeps no table: the answer join, and a single-pattern
+query's answers, read it from the store through its `LeafView`, so the
+store's own update is all it needs.
 
 Connection points, the subqueries that place them and the plan dump
 are in `kgprov.inspection`; registration and updates never call it.
@@ -43,9 +45,8 @@ from .planner import (
     join_probe,
     merge_into_global,
     select_best_plan,
-    tuple_getter,
 )
-from .provenance import Polynomial, ProvTable, Row, add_to, summed
+from .provenance import Polynomial, ProvTable, Row, add_to, summed, tuple_getter
 from .query import (
     QueryError,
     QueryGraph,
@@ -140,8 +141,8 @@ class Engine:
                 "query components connected only through constants cannot "
                 "be registered for maintenance"
             )
-        cf = canonicalize(q.patterns)
-        form = (cf.key, tuple(cf.varmap[v] for v in q.projection))
+        cf = canonicalize(q.patterns, q.projection)
+        form = (cf.key, cf.projection)
         if form in self._registered_forms:
             raise QueryError("query already registered")
 
@@ -184,8 +185,13 @@ class Engine:
             self.answers.drop(qid)
             raise
 
+        # build every key index a delta will probe now that nothing can
+        # fail: no update builds one, and a failure leaves none
+        self.plan.index_probes(size)
         if root is not None:
             root.roots += 1
+            if not root.is_leaf:
+                self.plan.rows.index(root, probes[1].o_slots)
         self._next_qid += 1
         rq.answers = self.answers.group(qid)
         self.queries[qid] = rq

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, islice
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .provenance import Polynomial, ProvTable, add_to, summed
+from .provenance import Polynomial, ProvTable, add_to, summed, tuple_getter
 from .query import CanonicalForm, CanonicalKey, TriplePattern, Var, canonicalize
-from .store import Edge, KnowledgeGraph, bucket_entries, bucket_faults
+from .store import Edge, KnowledgeGraph, bucket_entries
 
 # --------------------------------------------------------------------------
 # Statistics
@@ -266,14 +265,6 @@ def patterns_from_key(key: CanonicalKey) -> list[TriplePattern]:
     return out
 
 
-def tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """row -> tuple(row[i] for i in positions), also for one position."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda row: (row[i],)
-    return itemgetter(*positions)
-
-
 @dataclass(frozen=True)
 class JoinProbe:
     """One direction of a join node's delta rule, laid out when the node
@@ -437,7 +428,8 @@ class PlanNode:
     # join nodes: (left child's rows probing the right, right's probing
     # the left)
     probes: tuple[JoinProbe, JoinProbe] | None = None
-    # lazily built probe indexes, slot subset -> `evaluate.slot_index`
+    # a join node's key indexes in the plan's ProvTable, slot subset ->
+    # key -> bucket of rows, which registration builds for the probes
     indexes: dict[tuple[int, ...], dict] = field(default_factory=dict)
 
     @property
@@ -476,14 +468,21 @@ class GlobalPlan:
             self.rows.drop(node)
         self.pending.clear()
 
+    def index_probes(self, size: int) -> None:
+        """Build the key index through which each node created after the
+        first `size` probes its left child, if that is a join node."""
+        for node in islice(self.nodes.values(), size, None):
+            left = node.children and self.nodes[node.children[0][0]]
+            if left and not left.is_leaf:
+                self.rows.index(left, node.probes[1].o_slots)
+
     def audit(self) -> list[str]:
-        """The row table's audit, plus every group of a node not in the
-        plan, every leaf that holds a group, an edge entry or a probe
-        index, every join-probe index bucket that breaks the bucket
-        invariant, every index that differs from one rebuilt from its
-        node's table, every join node whose child is missing from `nodes`
-        or comes after it there (creation order is topological), and
-        every join node whose right child is not a leaf."""
+        """The row table's audit, which covers the probe indexes, plus
+        every group of a node not in the plan, every leaf that holds a
+        group, an edge entry or a probe index, every join node whose
+        child is missing from `nodes` or comes after it there (creation
+        order is topological), and every join node whose right child is
+        not a leaf."""
         problems = self.rows.audit()
         position = {key: i for i, key in enumerate(self.nodes)}
         problems += [
@@ -501,24 +500,14 @@ class GlobalPlan:
             for bucket in self.rows.by_edge.values()
             for node, _ in bucket_entries(bucket) if node.is_leaf
         })
+        problems += [
+            f"leaf {node!r} holds a probe index"
+            for node, indexes in self.rows.key_indexes.items() if indexes and node.is_leaf
+        ]
         for node in self.nodes.values():
-            if node.is_leaf and node.indexes:
-                problems.append(f"leaf {node!r} holds a probe index")
             right = node.children and self.nodes.get(node.children[1][0])
             if right and not right.is_leaf:  # joins probe their right side in the store
                 problems.append(f"join {node!r} has a right child {right!r} that is not a leaf")
-            for slots, idx in node.indexes.items():
-                key = tuple_getter(slots)
-                want: dict = {}
-                for row in node.table:
-                    want.setdefault(key(row), set()).add(row)
-                small, mismatched = bucket_faults(idx, want)
-                problems += [
-                    f"probe set bucket of {n} at {node!r} slots {slots} key {k}"
-                    for k, n in small
-                ]
-                if mismatched:
-                    problems.append(f"probe index mismatch at {node!r} slots {slots}")
         return problems
 
     def topo_order(self) -> list[PlanNode]:
@@ -574,6 +563,7 @@ def merge_into_global(
         )
         if sides is not None:  # a leaf gets its view when materialized
             node.table = plan.rows.group(node)
+            node.indexes = plan.rows.indexes(node)
         plan.nodes[cf.key] = node
         plan.pending.append(node)
 

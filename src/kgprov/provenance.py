@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 from .store import bucket_add, bucket_discard, bucket_entries, bucket_faults
 
@@ -262,6 +264,14 @@ def summed(out: dict) -> dict:
 # --------------------------------------------------------------------------
 
 
+def tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """row -> tuple(row[i] for i in positions), also for one position."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return itemgetter(*positions)
+
+
 @dataclass
 class ResultDelta:
     """One group's change from pruning a deleted edge."""
@@ -273,45 +283,67 @@ class ResultDelta:
 
 
 class ProvTable:
-    """Rows annotated with polynomials, kept in named groups, plus an
-    inverted index from each edge id to the (group, row) pairs whose
-    polynomial mentions it, one pair held bare and two or more in a set
+    """Rows annotated with polynomials, kept in named groups, and the
+    indexes kept current with them: from each edge id to the (group, row)
+    pairs whose polynomial mentions it, and a group's key indexes, from
+    a row's values at a slot subset to the rows holding them, which
+    joins probe.  A bucket holds one entry bare and two or more in a set
     (the store's bucket invariant).  Every row is nonzero."""
 
     def __init__(self):
         self.groups: dict[Hashable, dict[Row, Polynomial]] = {}
         self.by_edge: dict[int, Entry | set[Entry]] = {}
+        # group name -> slot subset -> key -> bucket of rows
+        self.key_indexes: dict[Hashable, dict[Row, dict]] = {}
 
     def group(self, name: Hashable) -> dict[Row, Polynomial]:
         """The live row dict of a group, created empty on first use."""
         return self.groups.setdefault(name, {})
 
+    def indexes(self, name: Hashable) -> dict[Row, dict]:
+        """The live key indexes of a group, slot subset -> index, created
+        empty on first use."""
+        return self.key_indexes.setdefault(name, {})
+
+    def index(self, name: Hashable, slots: Row) -> dict:
+        """The group's key index on `slots`, built from its rows on first
+        request: a row's values at `slots` -> the bucket of rows."""
+        indexes = self.indexes(name)
+        idx = indexes.get(slots)
+        if idx is None:
+            idx = indexes[slots] = {}
+            key = tuple_getter(slots)
+            for row in self.groups.get(name, ()):
+                bucket_add(idx, key(row), row)
+        return idx
+
     def drop(self, name: Hashable) -> None:
-        """Remove a group, if there is one, and unindex its rows."""
+        """Remove a group, if any, with its key indexes; unindex its rows."""
+        self.key_indexes.pop(name, None)
         for row, poly in self.groups.pop(name, {}).items():
             for eid in poly.edges():
                 bucket_discard(self.by_edge, eid, (name, row))
 
-    def add(self, name: Hashable, delta: dict[Row, Polynomial]) -> list[Row]:
-        """Add each polynomial onto its row of the group, creating rows
-        as needed; returns the rows that did not exist before."""
+    def add(self, name: Hashable, delta: dict[Row, Polynomial]) -> None:
+        """Add each polynomial onto its row of the group, creating rows."""
         rows = self.group(name)
         by_edge = self.by_edge
-        fresh = []
+        indexes = self.key_indexes.get(name)
         for row, poly in delta.items():
             if not poly:
                 continue
             old = rows.get(row)
             if old is None:
                 rows[row] = poly
-                fresh.append(row)
+                if indexes:
+                    for slots, idx in indexes.items():
+                        bucket_add(idx, tuple_getter(slots)(row), row)
             else:
                 rows[row] = old + poly
             entry = (name, row)
             for mono, _ in poly.terms:
                 for eid, _ in mono:
                     bucket_add(by_edge, eid, entry)
-        return fresh
 
     def cut(self, edge_id: int) -> dict[Hashable, ResultDelta]:
         """What pruning the edge does to each row indexed under it: the
@@ -347,11 +379,15 @@ class ProvTable:
                 rows[row] = new
                 for eid in gone:  # edge_id itself is unindexed already
                     bucket_discard(by_edge, eid, (name, row))
+            indexes = self.key_indexes.get(name)
             for row, old in delta.removed.items():
                 del rows[row]
                 for mono, _ in old.terms:
                     for eid, _ in mono:
                         bucket_discard(by_edge, eid, (name, row))
+                if indexes:
+                    for slots, idx in indexes.items():
+                        bucket_discard(idx, tuple_getter(slots)(row), row)
 
     def prune(self, edge_id: int) -> dict[Hashable, ResultDelta]:
         """Drop the monomials that use the edge from every row indexed
@@ -364,8 +400,8 @@ class ProvTable:
 
     def audit(self) -> list[str]:
         """Stored polynomials not in canonical form, index buckets that
-        break the bucket invariant, and edge ids whose index entries
-        differ from those rebuilt from the rows."""
+        break the bucket invariant, and edge ids and key indexes whose
+        entries differ from those rebuilt from the rows."""
         problems = []
         want: dict[int, set] = {}
         for name, rows in self.groups.items():
@@ -378,6 +414,16 @@ class ProvTable:
         small, mismatched = bucket_faults(self.by_edge, want)
         problems += [f"set bucket of {n} at e{e}" for e, n in small]
         problems += [f"index mismatch at e{e}" for e in mismatched]
+        for name, indexes in self.key_indexes.items():
+            for slots, idx in indexes.items():
+                key, keyed = tuple_getter(slots), {}
+                for row in self.groups.get(name, ()):
+                    keyed.setdefault(key(row), set()).add(row)
+                small, mismatched = bucket_faults(idx, keyed)
+                at = f"at {name!r} slots {slots}"
+                problems += [f"probe set bucket of {n} {at} key {k}" for k, n in small]
+                if mismatched:
+                    problems.append(f"probe index mismatch {at}")
         return problems
 
 

@@ -6,6 +6,7 @@ edge together (the engine's delta rule handles both kinds alike).
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -250,6 +251,9 @@ class CanonicalForm:
     # original variable name -> canonical variable index
     varmap: dict[str, int] = field(compare=False, hash=False, default_factory=dict)
     exact: bool = True
+    # the asked projection's canonical indexes, least over every map that
+    # renders `key`, so that no symmetry of the key renames it
+    projection: tuple[int, ...] = ()
 
 
 def _render(order: list[TriplePattern]) -> tuple[CanonicalKey, dict[str, int]]:
@@ -275,12 +279,13 @@ def _signature(p: TriplePattern) -> tuple:
     return (sig(p.predicate), sig(p.subject), sig(p.object))
 
 
-def canonicalize(patterns: list[TriplePattern]) -> CanonicalForm:
-    """Deterministic form invariant under pattern order and renaming.
+def canonicalize(patterns: list[TriplePattern], projection: Sequence[str] = ()) -> CanonicalForm:
+    """Deterministic form invariant under pattern order and renaming,
+    with the `projection` variables' canonical indexes.
 
     Exact (lexicographically minimal over pattern orderings) up to
     EXACT_CANONICAL_LIMIT patterns; larger inputs fall back to a sorted
-    signature heuristic.
+    signature heuristic, whose one map gives the projection.
     """
     n = len(patterns)
     if n == 0:
@@ -288,18 +293,21 @@ def canonicalize(patterns: list[TriplePattern]) -> CanonicalForm:
     if n > EXACT_CANONICAL_LIMIT:
         order = sorted(patterns, key=lambda p: (_signature(p), p.ordinal))
         key, varmap = _render(order)
-        return CanonicalForm(key, varmap, exact=False)
+        return CanonicalForm(key, varmap, exact=False, projection=tuple(varmap[v] for v in projection))
 
-    best: list[tuple[CanonicalKey, dict[str, int]]] = []
+    best: list = []  # [key, its first map, least projection]
 
     def search(order: list[TriplePattern], remaining: list[TriplePattern]):
         if not remaining:
-            cand = _render(order)
-            if not best or cand[0] < best[0][0]:
-                best[:] = [cand]
+            key, varmap = _render(order)
+            if not best or key < best[0]:
+                best[:] = [key, varmap, tuple(varmap[v] for v in projection)]
+            elif projection and key == best[0]:
+                best[2] = min(best[2], tuple(varmap[v] for v in projection))
             return
         # prune: only extend with patterns whose rendered prefix could be
-        # minimal -- choose candidates with minimal next rendered pattern
+        # minimal -- choose candidates with minimal next rendered pattern;
+        # every ordering that renders the minimal key is still visited
         scored = []
         for p in remaining:
             key, _ = _render(order + [p])
@@ -312,8 +320,7 @@ def canonicalize(patterns: list[TriplePattern]) -> CanonicalForm:
                 search(order + [p], rest)
 
     search([], list(patterns))
-    key, varmap = best[0]
-    return CanonicalForm(key, varmap)
+    return CanonicalForm(best[0], best[1], projection=best[2])
 
 
 # --------------------------------------------------------------------------

@@ -293,6 +293,7 @@ def test_delta_insert_matches_rematerialization(academia, running_query):
     g = academia
     plan, orders = build_plan(g, [running_query])
     materialize_plan(plan, g)
+    plan.index_probes(0)  # as registration does, before any insert
     updates = [
         ("Ooi", "coAuthor", "Gehrke"),
         ("Sarawagi", "worksIn", "IITB"),
@@ -326,6 +327,7 @@ def test_randomized_delta_stream_stays_consistent():
         except Exception:
             continue
         materialize_plan(plan, g)
+        plan.index_probes(0)
         node_names = [f"n{i}" for i in range(10)]
         preds = sorted(g.predicates.names())
         for _step in range(30):

@@ -126,6 +126,62 @@ def test_other_projection_registers(engine):
     assert engine.index_audit() == []
 
 
+def test_symmetric_pattern_set_duplicate_rejected():
+    """Under the swap of ?x and ?y the two patterns trade places, so
+    projecting either variable is one query."""
+    g = KnowledgeGraph()
+    g.insert_triple("a", "p", "b")
+    g.insert_triple("b", "p", "a")
+    engine = Engine(g)
+    engine.register_query(parse_query("SELECT ?x WHERE { ?x p ?y . ?y p ?x . }"))
+    with pytest.raises(QueryError):
+        engine.register_query(parse_query("SELECT ?y WHERE { ?x p ?y . ?y p ?x . }"))
+    # `?x q ?y` breaks the symmetry: ?x and ?y are two different answers
+    engine.register_query(parse_query("SELECT ?x WHERE { ?x p ?y . ?y p ?x . ?x q ?y . }"))
+    engine.register_query(parse_query("SELECT ?y WHERE { ?x p ?y . ?y p ?x . ?x q ?y . }"))
+    assert len(engine.queries) == 3
+    assert engine.index_audit() == []
+
+
+def probe_reads(engine):
+    """The (node, slots) pairs of every key index a delta may probe: each
+    join node's left child, and each answer join's root, when it is a
+    join node."""
+    plan = engine.plan
+    pairs = {
+        (plan.nodes[node.children[0][0]], node.probes[1].o_slots)
+        for node in plan.nodes.values() if node.children
+    }
+    pairs |= {(rq.root, rq.probes[1].o_slots) for rq in engine.queries.values() if rq.root}
+    return {(node, slots) for node, slots in pairs if not node.is_leaf}
+
+
+def indexed(engine):
+    return {(node, slots) for node, idx in engine.plan.rows.key_indexes.items() for slots in idx}
+
+
+def test_registration_builds_every_probe_index_and_updates_none():
+    rng = random.Random(5)
+    g = random_graph(rng, 12, 3, 60)
+    engine = Engine(g)
+    for _ in range(8):
+        try:
+            engine.register_query(random_query(g, rng, rng.randrange(3, 5)))
+        except QueryError:
+            continue
+        assert probe_reads(engine) <= indexed(engine)
+    assert probe_reads(engine)
+    before = indexed(engine)
+    nodes, preds = [f"n{i}" for i in range(12)], sorted(g.predicates.names())
+    for _ in range(200):
+        if rng.random() < 0.4 and g.edges:
+            engine.delete_edge(rng.choice(sorted(g.edges)))
+        else:
+            engine.insert_triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
+    assert indexed(engine) == before
+    assert engine.index_audit() == []
+
+
 def test_variable_predicate_rejected(engine):
     q = parse_query("SELECT ?x WHERE { ?x ?p ?y . }")
     with pytest.raises(UnsupportedFeatureError):
@@ -263,7 +319,8 @@ def test_failed_insert_leaves_engine_unchanged(registered, running_query, monkey
 
 def engine_state(engine):
     """Everything a delete may change, copied: the store's edges and
-    indexes, every plan table and answer group, and both edge indexes."""
+    indexes, every plan table and answer group, both edge indexes and
+    the plan's key indexes."""
     g = engine.graph
 
     def copied(index):
@@ -278,6 +335,10 @@ def engine_state(engine):
         {qid: dict(rq.answers) for qid, rq in engine.queries.items()},
         copied(engine.plan.rows.by_edge),
         copied(engine.answers.by_edge),
+        {
+            node: {slots: copied(idx) for slots, idx in indexes.items()}
+            for node, indexes in engine.plan.rows.key_indexes.items()
+        },
     )
 
 
@@ -1103,7 +1164,7 @@ def test_audit_flags_rows_held_by_plain_leaf(registered, plant, label):
         bucket_add(plan.rows.by_edge, eid, (leaf, row))
         want = f"plan leaf {leaf!r} holds edge entries"
     else:
-        evaluate.node_index(leaf, (0,))  # right for the leaf's rows
+        plan.rows.index(leaf, (0,))  # a leaf has no group: an empty index
         want = f"plan leaf {leaf!r} holds a probe index"
     problems = engine.index_audit()
     assert want in problems

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgprov.provenance import Polynomial, mono_degree, mono_edges, mono_mul
+from kgprov.provenance import Polynomial, ProvTable, mono_degree, mono_edges, mono_mul
+from kgprov.store import bucket_add
 
 
 def poly_add(*polys: Polynomial) -> Polynomial:
@@ -270,3 +271,71 @@ def test_randomized_law_sweep():
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == c * a + c * b
+
+
+# ---------------------------------------------------------------------------
+# ProvTable: rows, the edge index and the key indexes kept together
+# ---------------------------------------------------------------------------
+
+GROUPS = ("a", "b", "c")
+row_keys = st.tuples(st.integers(0, 2), st.integers(0, 2))
+# row polynomials over six edges with no constant term, so that a prune
+# often removes a row
+row_polys = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3)), max_size=2
+).map(lambda terms: poly_add(*(
+    Polynomial.monomial(mono_mul(((a, 1),), ((b, 1),)), c) for a, b, c in terms
+)))
+table_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(GROUPS), st.dictionaries(row_keys, row_polys, max_size=4)),
+        st.tuples(st.just("prune"), st.integers(1, 6)),
+        st.tuples(st.just("drop"), st.sampled_from(GROUPS)),
+        st.tuples(st.just("index"), st.sampled_from(GROUPS), st.sampled_from([(0,), (1,), (0, 1), (1, 0)])),
+    ),
+    max_size=25,
+)
+
+
+def rebuilt_index(rows, slots):
+    idx = {}
+    for row in rows:
+        bucket_add(idx, tuple(row[s] for s in slots), row)
+    return idx
+
+
+@given(table_ops)
+@settings(max_examples=200, derandomize=True, database=None)
+def test_prov_table_keeps_its_indexes_current(ops):
+    """After each add, prune, drop or index, the rows equal a plain
+    model's, the audit is empty, and every key index equals one rebuilt
+    from its group's rows."""
+    table = ProvTable()
+    model: dict = {}
+    for op, *args in ops:
+        if op == "add":
+            name, delta = args
+            table.add(name, delta)
+            group = model.setdefault(name, {})
+            for row, poly in delta.items():
+                if poly:
+                    group[row] = group.get(row, Polynomial.zero()) + poly
+        elif op == "prune":
+            (eid,) = args
+            table.prune(eid)
+            for group in model.values():
+                for row, poly in list(group.items()):
+                    group[row] = poly.prune(eid)
+                    if not group[row]:
+                        del group[row]
+        elif op == "drop":
+            table.drop(args[0])
+            model.pop(args[0], None)
+        else:
+            name, slots = args
+            assert table.index(name, slots) is table.indexes(name)[slots]
+        assert table.groups == model
+        assert table.audit() == []
+        for name, indexes in table.key_indexes.items():
+            for slots, idx in indexes.items():
+                assert idx == rebuilt_index(table.groups.get(name, {}), slots)

@@ -145,10 +145,15 @@ class EngineMachine(RuleBasedStateMachine):
     def register_faulting(self, q, phase, calls):
         """Register with a fault planted in `phase`, after `calls` calls
         that succeed: a registration that reaches it must leave the plan,
-        its rows and the next query id as they were."""
+        its rows, its key indexes and the next query id as they were."""
         engine, (module, name) = self.engine, FAULTS[phase]
         plan, real = engine.plan, getattr(module, name)
-        before = (list(plan.nodes.items()), list(plan.rows.groups), engine._next_qid)
+
+        def state():
+            indexes = {node: list(idx) for node, idx in plan.rows.key_indexes.items()}
+            return list(plan.nodes.items()), list(plan.rows.groups), indexes, engine._next_qid
+
+        before = state()
 
         def faulty(*args):
             if len(made) == calls:
@@ -161,7 +166,7 @@ class EngineMachine(RuleBasedStateMachine):
         try:
             self._register(q)
         except RuntimeError:
-            assert (list(plan.nodes.items()), list(plan.rows.groups), engine._next_qid) == before
+            assert state() == before
             REACHED.add(f"failed registration at {phase}")
         finally:
             setattr(module, name, real)
