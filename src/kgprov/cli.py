@@ -265,7 +265,7 @@ def dump(graph_path, query_paths, what):
                 )
             )
     else:
-        for entry in plan_dump(engine.plan):
+        for entry in plan_dump(engine.plan, [rq.root for rq in engine.queries.values()]):
             click.echo(json.dumps(entry))
         cov = coverage(engine.plan)
         click.echo(json.dumps({"coverage": cov}))

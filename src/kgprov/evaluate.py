@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .planner import GlobalPlan, JoinProbe, LeafView, PlanNode, pattern_ids
 from .provenance import MONO_ONE, Monomial, Polynomial, ResultDelta, add_to, mono_mul, summed
@@ -138,18 +139,17 @@ def join_tables(
     return summed(out)
 
 
-def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph) -> GlobalPlan:
-    """Give every node created since the last call its table, children
-    first: a join node joins its children's current tables into its
-    group (and the edge->row index), and a leaf, which is not scanned,
-    gets a `LeafView` of the store."""
-    for node in plan.pending:
+def materialize_plan(plan: GlobalPlan, g: KnowledgeGraph, start: int) -> GlobalPlan:
+    """Give every node created after the first `start` its table, in
+    creation order, which puts children first: a join node joins its
+    children's current tables into its group (and the edge->row index),
+    and a leaf, which is not scanned, gets a `LeafView` of the store."""
+    for node in islice(plan.nodes.values(), start, None):
         if node.is_leaf:
             node.table = LeafView(g, node.patterns[0])
         else:
-            left, right = (plan.nodes[key] for key, _ in node.children)
+            left, right = map(plan.nodes.__getitem__, node.children)
             plan.rows.add(node, join_tables(left, right, node.probes))
-    plan.pending.clear()
     return plan
 
 
@@ -256,7 +256,7 @@ def compute_insert_deltas(
         if node.is_leaf:
             d = node.table.delta(e)
         else:
-            (lkey, _), (rkey, _) = node.children
+            lkey, rkey = node.children
             left, right = plan.nodes[lkey], plan.nodes[rkey]
             d = join_delta(left, right, node.probes, deltas.get(left), deltas.get(right), e.id)
         if d:

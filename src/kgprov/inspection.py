@@ -16,9 +16,10 @@ subqueries and evaluates every component from the store with
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .evaluate import evaluate_patterns
 from .provenance import Polynomial
@@ -26,7 +27,7 @@ from .query import QueryGraph, TriplePattern, Var, pattern_components
 
 if TYPE_CHECKING:
     from .maintenance import Engine
-    from .planner import GlobalPlan
+    from .planner import GlobalPlan, PlanNode
 
 OUT = "out"
 IN = "in"
@@ -216,16 +217,18 @@ def coverage(plan: GlobalPlan) -> float | None:
     return non_leaf / len(preds)
 
 
-def plan_dump(plan: GlobalPlan) -> list[dict]:
+def plan_dump(plan: GlobalPlan, roots: Iterable[PlanNode | None]) -> list[dict]:
     """JSON-ready description of every node, in creation order, which
-    puts children first (`GlobalPlan.audit` checks it)."""
+    puts children first (`GlobalPlan.audit` checks it), with how many of
+    the answer joins' `roots` are the node."""
+    rooted = Counter(roots)
     return [
         {
             "expr": node.label(),
             "estimate": node.estimate,
-            "children": [plan.nodes[ck].label() for ck, _ in node.children or ()],
+            "children": [plan.nodes[ck].label() for ck in node.children or ()],
             "rows": len(node.table),
-            "roots": node.roots,
+            "roots": rooted[node],
         }
         for node in plan.nodes.values()
     ]

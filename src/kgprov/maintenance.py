@@ -22,7 +22,6 @@ are in `kgprov.inspection`; registration and updates never call it.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -163,7 +162,7 @@ class Engine:
             if rest:
                 root, root_vm = merge_into_global(self.plan, select_best_plan(rest, stats), stats)
             leaf, leaf_vm = merge_into_global(self.plan, [q.patterns[k]], stats)
-            materialize_plan(self.plan, self.graph)
+            materialize_plan(self.plan, self.graph, size)
             # join rows hold the distinct projected variables, so the
             # join itself sums the derivations of each answer
             proj = list(dict.fromkeys(q.projection))
@@ -188,10 +187,8 @@ class Engine:
         # build every key index a delta will probe now that nothing can
         # fail: no update builds one, and a failure leaves none
         self.plan.index_probes(size)
-        if root is not None:
-            root.roots += 1
-            if not root.is_leaf:
-                self.plan.rows.index(root, probes[1].o_slots)
+        if root is not None and not root.is_leaf:
+            self.plan.rows.index(root, probes[1].o_slots)
         self._next_qid += 1
         rq.answers = self.answers.group(qid)
         self.queries[qid] = rq
@@ -329,32 +326,26 @@ class Engine:
         against the live ones, check that every stored polynomial is
         canonical, that every row group belongs to a plan node or a
         registered query, that no leaf holds a group, edge entries or a
-        probe index, that every plan node feeds some answer join and that
-        its `roots` count the joins rooted at it, that every query's
-        `leaf` is a plan leaf, and recompute every query's answers from
-        its answer join; an empty list means consistent."""
+        probe index, that every plan node feeds some answer join, that
+        every query's `leaf` is a plan leaf, and recompute every query's
+        answers from its answer join; an empty list means consistent."""
         problems = self.graph.audit()
         problems += [f"edge-to-result {p}" for p in self.answers.audit()]
         problems += [
             f"answers of unregistered query {q}" for q in self.answers.groups if q not in self.queries
         ]
         problems += [f"plan {p}" for p in self.plan.audit()]
-        queries = self.queries.values()
-        joins = [n for rq in queries for n in (rq.root, rq.leaf) if n is not None]
-        rooted = Counter(rq.root for rq in queries)
+        joins = [n for rq in self.queries.values() for n in (rq.root, rq.leaf) if n is not None]
         live: set[PlanNode] = set()
         while joins:
             node = joins.pop()
             if node not in live:
                 live.add(node)
-                joins += [self.plan.nodes[k] for k, _ in node.children or () if k in self.plan.nodes]
-        for node in self.plan.nodes.values():
-            if node not in live:
-                problems.append(f"plan node {node!r} feeds no answer join")
-            if node.roots != rooted[node]:
-                problems.append(
-                    f"plan node {node!r} roots {rooted[node]} answer joins, not {node.roots}"
-                )
+                joins += [self.plan.nodes[k] for k in node.children or () if k in self.plan.nodes]
+        problems += [
+            f"plan node {node!r} feeds no answer join"
+            for node in self.plan.nodes.values() if node not in live
+        ]
         for qid, rq in self.queries.items():
             if not rq.leaf.is_leaf:  # the answer join probes its leaf in the store
                 problems.append(f"query {qid} joins {rq.leaf!r}, which is not a leaf")

@@ -414,17 +414,14 @@ class PlanNode:
 
     key: CanonicalKey
     patterns: list[TriplePattern]
-    num_vars: int
     predicates: frozenset[str]
     estimate: float
-    # (child key, map child-var-slot -> this node's var slot) per side
-    children: tuple[tuple[CanonicalKey, dict[int, int]], tuple[CanonicalKey, dict[int, int]]] | None
-    # bindings over var slots 0..num_vars-1 -> provenance; a join node's
-    # group of the plan's ProvTable, keyed by the node, or a leaf's
-    # LeafView, which holds no rows, edge entries or probe indexes
+    # (left child's key, right child's key)
+    children: tuple[CanonicalKey, CanonicalKey] | None
+    # bindings over the var slots -> provenance; a join node's group of
+    # the plan's ProvTable, keyed by the node, or a leaf's LeafView,
+    # which holds no rows, edge entries or probe indexes
     table: Mapping[tuple[int, ...], Polynomial] = field(default_factory=dict)
-    # how many registered queries' answer joins this node roots
-    roots: int = 0
     # join nodes: (left child's rows probing the right, right's probing
     # the left)
     probes: tuple[JoinProbe, JoinProbe] | None = None
@@ -457,22 +454,19 @@ class GlobalPlan:
         self.nodes: dict[CanonicalKey, PlanNode] = {}
         # every node table, grouped by node
         self.rows = ProvTable()
-        # nodes created since the last materialization, children first
-        self.pending: list[PlanNode] = []
 
     def truncate(self, size: int) -> None:
         """Drop every node created after the first `size`, with its rows
-        and edge entries, and empty `pending`."""
+        and edge entries."""
         for node in list(self.nodes.values())[size:]:
             del self.nodes[node.key]
             self.rows.drop(node)
-        self.pending.clear()
 
     def index_probes(self, size: int) -> None:
         """Build the key index through which each node created after the
         first `size` probes its left child, if that is a join node."""
         for node in islice(self.nodes.values(), size, None):
-            left = node.children and self.nodes[node.children[0][0]]
+            left = node.children and self.nodes[node.children[0]]
             if left and not left.is_leaf:
                 self.rows.index(left, node.probes[1].o_slots)
 
@@ -488,7 +482,7 @@ class GlobalPlan:
         problems += [
             f"join {node!r} precedes or lacks its child {key}"
             for i, node in enumerate(self.nodes.values())
-            for key, _ in node.children or () if position.get(key, i) >= i
+            for key in node.children or () if position.get(key, i) >= i
         ]
         for node in self.rows.groups:
             if node.is_leaf:
@@ -505,7 +499,7 @@ class GlobalPlan:
             for node, indexes in self.rows.key_indexes.items() if indexes and node.is_leaf
         ]
         for node in self.nodes.values():
-            right = node.children and self.nodes.get(node.children[1][0])
+            right = node.children and self.nodes.get(node.children[1])
             if right and not right.is_leaf:  # joins probe their right side in the store
                 problems.append(f"join {node!r} has a right child {right!r} that is not a leaf")
         return problems
@@ -520,7 +514,7 @@ class GlobalPlan:
                 return
             node = self.nodes[key]
             if node.children is not None:
-                for ck, _ in node.children:
+                for ck in node.children:
                     visit(ck)
             done.add(key)
             out.append(node)
@@ -537,23 +531,20 @@ def merge_into_global(
     the prefix before it with the leaf of its last pattern.  The longest
     prefix whose canonical form is already present is reused with its
     existing derivation; above it, each missing leaf is created before
-    the prefix that joins it, and every new node is queued on
-    `plan.pending`.  Returns the root node and the component's variable
-    -> slot map."""
+    the prefix that joins it, so creation order puts children first.
+    Returns the root node and the component's variable -> slot map."""
 
     def create(cf: CanonicalForm, pats: list[TriplePattern], sides) -> None:
-        num_vars = len(set(cf.varmap.values()))
         children = probes = None
         if sides is not None:
             left, right = sides
             lmap = {slot: cf.varmap[name] for name, slot in left.varmap.items()}
             rmap = {slot: cf.varmap[name] for name, slot in right.varmap.items()}
-            children = ((left.key, lmap), (right.key, rmap))
-            probes = (join_probe(lmap, rmap, num_vars), join_probe(rmap, lmap, num_vars))
+            children = (left.key, right.key)
+            probes = (join_probe(lmap, rmap, len(cf.varmap)), join_probe(rmap, lmap, len(cf.varmap)))
         node = PlanNode(
             key=cf.key,
             patterns=patterns_from_key(cf.key),
-            num_vars=num_vars,
             predicates=frozenset(
                 p.predicate for p in pats if isinstance(p.predicate, str)
             ),
@@ -565,7 +556,6 @@ def merge_into_global(
             node.table = plan.rows.group(node)
             node.indexes = plan.rows.indexes(node)
         plan.nodes[cf.key] = node
-        plan.pending.append(node)
 
     n = len(order)
     forms: dict[int, CanonicalForm] = {}  # prefix length -> its form

@@ -6,6 +6,7 @@ edge together (the engine's delta rule handles both kinds alike).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -296,6 +297,14 @@ def canonicalize(patterns: list[TriplePattern], projection: Sequence[str] = ()) 
         return CanonicalForm(key, varmap, exact=False, projection=tuple(varmap[v] for v in projection))
 
     best: list = []  # [key, its first map, least projection]
+    # patterns equal but for their private variables (in no other pattern,
+    # not projected) swap by a symmetry of the rest: search only the first
+    uses = Counter(v for p in patterns for v in p.variables())
+    private = {v for v, n in uses.items() if n == 1} - set(projection)
+
+    def shape(p: TriplePattern) -> tuple:
+        own = [t for t in p.terms() if isinstance(t, Var) and t.name in private]
+        return tuple(own.index(t) if t in own else t for t in p.terms())
 
     def search(order: list[TriplePattern], remaining: list[TriplePattern]):
         if not remaining:
@@ -307,14 +316,16 @@ def canonicalize(patterns: list[TriplePattern], projection: Sequence[str] = ()) 
             return
         # prune: only extend with patterns whose rendered prefix could be
         # minimal -- choose candidates with minimal next rendered pattern;
-        # every ordering that renders the minimal key is still visited
+        # every ordering that renders the minimal key is visited, or its swap
         scored = []
         for p in remaining:
             key, _ = _render(order + [p])
             scored.append((key[-1], p))
         minimum = min(s[0] for s in scored)
+        tried = set()
         for rendered, p in scored:
-            if rendered == minimum:
+            if rendered == minimum and shape(p) not in tried:
+                tried.add(shape(p))
                 rest = list(remaining)
                 rest.remove(p)
                 search(order + [p], rest)

@@ -161,6 +161,22 @@ def test_dump_matches_golden_output(runner, tmp_path, monkeypatch, what):
         assert result.stdout_bytes == fh.read()
 
 
+def test_dump_plan_counts_a_shared_root(runner, tmp_path):
+    """Three queries whose answer joins share the root `?a hadAdvisor ?b
+    . ?c hasDegree ?b`: the plan dump, byte for byte as recorded in
+    tests/data/shared_plan.jsonl, counts that root three times."""
+    args = ["dump", "-g", FIXTURE]
+    for i, extra in enumerate(("?b worksIn ?d .", "?e coAuthor ?a .", "?a worksIn ?d .")):
+        path = tmp_path / f"shared{i}.rq"
+        path.write_text(f"SELECT ?a WHERE {{ {extra} ?a hadAdvisor ?b . ?c hasDegree ?b . }}\n")
+        args += ["-q", str(path)]
+    result = runner.invoke(main, args + ["plan"])
+    assert result.exit_code == 0, result.output
+    with open(os.path.join(os.path.dirname(FIXTURE), "shared_plan.jsonl"), "rb") as fh:
+        assert result.stdout_bytes == fh.read()
+    assert max(json.loads(line).get("roots", 0) for line in result.output.splitlines()) == 3
+
+
 def test_dump_plan_and_stats(runner, query_file):
     result = runner.invoke(main, ["dump", "-g", FIXTURE, "-q", query_file, "plan"])
     assert result.exit_code == 0, result.output

@@ -246,7 +246,7 @@ def rebuild_reference(g, orders):
     plan = GlobalPlan()
     for order in orders:
         merge_into_global(plan, order, stats)
-    materialize_plan(plan, g)
+    materialize_plan(plan, g, 0)
     return plan
 
 
@@ -257,7 +257,7 @@ def node_tables(plan):
 def test_materialized_nodes_equal_per_node_evaluation(academia, running_query):
     g = academia
     plan, _ = build_plan(g, [running_query])
-    materialize_plan(plan, g)
+    materialize_plan(plan, g, 0)
     for node in plan.nodes.values():
         varmap = canonicalize(node.patterns).varmap
         slot_order = sorted(set(varmap.values()))
@@ -276,7 +276,7 @@ def test_edge_rows_cover_every_table_row(academia, running_query):
     """The edge index lists every row of every join node; a leaf, read
     from the store, holds no rows to list."""
     plan, _ = build_plan(academia, [running_query])
-    materialize_plan(plan, academia)
+    materialize_plan(plan, academia, 0)
     # a bucket holding one (node, row) pair is the bare pair
     listed = {
         entry for bucket in plan.rows.by_edge.values() for entry in bucket_entries(bucket)
@@ -292,7 +292,7 @@ def test_edge_rows_cover_every_table_row(academia, running_query):
 def test_delta_insert_matches_rematerialization(academia, running_query):
     g = academia
     plan, orders = build_plan(g, [running_query])
-    materialize_plan(plan, g)
+    materialize_plan(plan, g, 0)
     plan.index_probes(0)  # as registration does, before any insert
     updates = [
         ("Ooi", "coAuthor", "Gehrke"),
@@ -309,7 +309,7 @@ def test_delta_insert_matches_rematerialization(academia, running_query):
 def test_delta_delete_matches_rematerialization(academia, running_query):
     g = academia
     plan, orders = build_plan(g, [running_query])
-    materialize_plan(plan, g)
+    materialize_plan(plan, g, 0)
     for eid in (14, 5, 2, 17):
         g.delete_edge(eid)
         delta_delete(plan, eid)
@@ -326,7 +326,7 @@ def test_randomized_delta_stream_stays_consistent():
             plan, orders = build_plan(g, queries)
         except Exception:
             continue
-        materialize_plan(plan, g)
+        materialize_plan(plan, g, 0)
         plan.index_probes(0)
         node_names = [f"n{i}" for i in range(10)]
         preds = sorted(g.predicates.names())

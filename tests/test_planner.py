@@ -424,11 +424,8 @@ def test_selection_deterministic(academia):
 
 
 def install(plan, pats, stats):
-    """Plan a component and count the registration on its root, as
-    `Engine.register_query` does."""
-    root, varmap = merge_into_global(plan, select_best_plan(pats, stats), stats)
-    root.roots += 1
-    return root, varmap
+    """Plan a component and merge it, as `Engine.register_query` does."""
+    return merge_into_global(plan, select_best_plan(pats, stats), stats)
 
 
 def test_merge_shares_canonical_subexpressions(academia):
@@ -445,7 +442,7 @@ def test_merge_shares_canonical_subexpressions(academia):
             (Var("s"), "hasDegree", Var("d")),
         ]
     )
-    install(plan, a, stats)
+    a_root, _ = install(plan, a, stats)
     n_after_first = len(plan.nodes)
     assert n_after_first == 3  # two leaves + the join
     b_root, _ = install(plan, b, stats)
@@ -453,9 +450,8 @@ def test_merge_shares_canonical_subexpressions(academia):
     # only the workplace leaf and b's root are new
     assert len(plan.nodes) == n_after_first + 2
     shared = plan.nodes[canonicalize(a).key]
-    assert shared.roots == 1
-    assert b_root.roots == 1
-    assert shared.key in {c[0] for c in b_root.children}
+    assert shared is a_root is not b_root
+    assert b_root.children[0] == shared.key
 
 
 def test_merge_is_idempotent_per_canonical_form(academia):
@@ -470,7 +466,6 @@ def test_merge_is_idempotent_per_canonical_form(academia):
     root, varmap = install(plan, renamed, stats)
     assert len(plan.nodes) == n  # same canonical form: nothing new
     assert root is first is plan.nodes[canonicalize(a).key]
-    assert root.roots == 2
     # both varmaps send corresponding variables to the same slot
     assert [varmap[v] for v in "uvw"] == [a_vm[v] for v in "xyo"]
 
@@ -480,6 +475,7 @@ def test_no_duplicate_canonical_keys_and_topo_order(academia):
     plan = GlobalPlan()
     rng = random.Random(3)
     preds = ["hadAdvisor", "worksIn", "coAuthor", "hasDegree"]
+    roots = []
     for qid in range(1, 9):
         k = rng.randrange(2, 4)
         pats = make(
@@ -488,17 +484,20 @@ def test_no_duplicate_canonical_keys_and_topo_order(academia):
                 for i in range(k)
             ]
         )
-        install(plan, pats, stats)
+        roots.append(install(plan, pats, stats)[0])
     keys = [n.key for n in plan.nodes.values()]
     assert len(keys) == len(set(keys))
     order = plan.topo_order()
     seen = set()
     for node in order:
-        for child_key, _ in node.children or ():
+        for child_key in node.children or ():
             assert child_key in seen
         seen.add(node.key)
-    # the dump lists the nodes in creation order, which is topological
-    assert [entry["expr"] for entry in plan_dump(plan)] == [n.label() for n in order]
+    # the dump lists the nodes in creation order, which is topological,
+    # and counts each root once per query it roots
+    dump = plan_dump(plan, roots)
+    assert [entry["expr"] for entry in dump] == [n.label() for n in order]
+    assert [entry["roots"] for entry in dump] == [roots.count(n) for n in order]
 
 
 def test_patterns_from_key_round_trip():

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgprov import query
+from kgprov.maintenance import Engine
 from kgprov.query import (
     DisconnectedQueryError,
     ParseError,
@@ -151,6 +155,81 @@ def test_canonical_varmap_is_consistent():
     )
     assert set(form.varmap) == {"a", "b", "c"}
     assert sorted(form.varmap.values()) == sorted(set(form.varmap.values()))
+
+
+def test_canonicalize_searches_one_of_interchangeable_patterns(monkeypatch):
+    """Swapping two leaves of a one-predicate star is a symmetry, so of
+    the star's 8! orderings, all rendering its key, the search follows
+    one: k + (k - 1) + ... + 1 candidate prefixes and one full key."""
+    real, calls = query._render, []
+    monkeypatch.setattr(query, "_render", lambda order: calls.append(order) or real(order))
+    k = 8
+    form = canonicalize(make([(Var("x"), "p", Var(f"a{i}")) for i in range(k)]), ["x"])
+    assert len(calls) <= k * (k + 1) // 2 + 1
+    assert form.key == tuple((("v", 0), ("c", "p"), ("v", i + 1)) for i in range(k))
+    assert form.projection == (0,)
+    monkeypatch.undo()
+    star = " ".join(f"?x p ?a{i} ." for i in range(k))
+    engine = Engine()
+    receipt = engine.register_query(parse_query(f"SELECT ?x WHERE {{ {star} }}"))
+    assert receipt.answers == []
+    engine.insert_triple("hub", "p", "spoke")
+    assert [row.bindings for row in engine.answers_of(receipt.query_id)] == [{"x": 0}]
+
+
+def brute_force_form(patterns, projection):
+    """(least rendering over every ordering of `patterns`, least
+    projection over the orderings that render it), where a rendering
+    numbers the variables by first appearance."""
+    best = None
+    for order in permutations(patterns):
+        varmap = {}
+        key = tuple(
+            tuple(
+                ("v", varmap.setdefault(t.name, len(varmap))) if isinstance(t, Var) else ("c", t)
+                for t in p.terms()
+            )
+            for p in order
+        )
+        form = (key, tuple(varmap[v] for v in projection))
+        best = form if best is None else min(best, form)
+    return best
+
+
+_terms = st.sampled_from([Var("x"), Var("y"), Var("z"), Var("w"), "A", "B"])
+_free = st.lists(st.tuples(_terms, st.sampled_from(["p", "q"]), _terms), min_size=1, max_size=6)
+# `?x p ?a_i` stars and `?x p ?y_i . ?y_i q ?z_i` combs, alone or with
+# other patterns, to exercise the interchangeable-pattern rule
+_star = st.integers(1, 6).map(lambda k: [(Var("x"), "p", Var(f"a{i}")) for i in range(k)])
+_comb = st.integers(1, 3).map(lambda k: [
+    t for i in range(k) for t in ((Var("x"), "p", Var(f"y{i}")), (Var(f"y{i}"), "q", Var(f"z{i}")))
+])
+_pattern_sets = st.one_of(_free, _star, _comb, st.tuples(st.one_of(_star, _comb), _free).map(
+    lambda parts: (parts[0] + parts[1])[:6]
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pattern_sets, st.data())
+def test_canonicalize_matches_brute_force(triples, data):
+    """The key is the least rendering over all orderings, the projection
+    the least over the orderings that render the key, and both survive
+    a shuffle of the patterns and a renaming of the variables."""
+    patterns = make(triples)
+    names = sorted({v for p in patterns for v in p.variables()})
+    projection = data.draw(st.lists(st.sampled_from(names), max_size=3)) if names else []
+    form = canonicalize(patterns, projection)
+    assert (form.key, form.projection) == brute_force_form(patterns, projection)
+
+    fresh = dict(zip(names, data.draw(st.permutations([f"r{i}" for i in range(len(names))]))))
+
+    def rename(t):
+        return Var(fresh[t.name]) if isinstance(t, Var) else t
+
+    shuffled = data.draw(st.permutations(triples))
+    moved = make([(rename(s), p, rename(o)) for s, p, o in shuffled])
+    other = canonicalize(moved, [fresh[v] for v in projection])
+    assert (other.key, other.projection) == (form.key, form.projection)
 
 
 # ---------------------------------------------------------------------------
